@@ -140,9 +140,9 @@ struct SyscallResult {
 /// One bursty sender → receiver run over real loopback TCP: kFrames small
 /// frames enqueued from the app thread while the transport's poll thread
 /// flushes; the sender's counters tell how many frames each sendmsg
-/// carried. batch_sends=false reproduces the one-drain-per-send legacy
-/// behavior for the side-by-side table row.
-SyscallResult run_syscall_burst(std::size_t msg_bytes, bool batch_sends) {
+/// carried. batched=false caps every sendmsg at one frame
+/// (max_batch_bytes = 0) — the one-frame-per-syscall control row.
+SyscallResult run_syscall_burst(std::size_t msg_bytes, bool batched) {
   constexpr std::uint32_t kFrames = 2000;
   const auto peers = reserve_local_ports(2);
   std::vector<std::unique_ptr<KeyChain>> keys;
@@ -155,7 +155,7 @@ SyscallResult run_syscall_burst(std::size_t msg_bytes, bool batch_sends) {
     o.n = 2;
     o.self = p;
     o.peers = peers;
-    o.batch_sends = batch_sends;
+    if (!batched) o.max_batch_bytes = 0;
     o.rng_seed = 77 + p;
     tp.push_back(std::make_unique<net::TcpTransport>(o, *keys[p]));
   }
@@ -262,12 +262,14 @@ int run() {
   const bool rb_exact = rb_encode_once(20, kSeed);
 
   // Real-TCP transport fast path: syscalls per frame under a small-frame
-  // burst, batched drain vs the legacy per-send drain. Real-time numbers
-  // (loopback kernel in the loop), so the gates are shape-only: batching
-  // must pack frames (>= 4 per sendmsg at 10 B; the legacy mode hovers
-  // near 1) and batch assembly must copy zero payload bytes.
+  // burst, batched drain vs the one-frame-per-sendmsg control
+  // (max_batch_bytes = 0). Real-time numbers (loopback kernel in the
+  // loop), so the gates are shape-only: batching must pack frames (>= 4
+  // per sendmsg at 10 B), the control must carry exactly one frame per
+  // sendmsg, and batch assembly must copy zero payload bytes.
   constexpr double kMinFramesPerSyscall10B = 4.0;
   bool syscall_gate = true;
+  bool control_gate = true;
   bool batch_zero_copy = true;
   std::printf("\n%-6s %-9s %10s %12s %14s %14s %12s\n", "m", "drain",
               "frames", "sendmsg", "B_to_kernel", "copied_B", "frames/call");
@@ -276,7 +278,7 @@ int run() {
                                  std::size_t{1000}}) {
       const SyscallResult r = run_syscall_burst(sz, batched);
       std::printf("%-6zu %-9s %10llu %12llu %14llu %14llu %12.1f\n", sz,
-                  batched ? "batched" : "per-send",
+                  batched ? "batched" : "1/call",
                   static_cast<unsigned long long>(r.frames),
                   static_cast<unsigned long long>(r.sendmsg_calls),
                   static_cast<unsigned long long>(r.bytes_to_kernel),
@@ -286,6 +288,7 @@ int run() {
           r.frames_per_syscall < kMinFramesPerSyscall10B) {
         syscall_gate = false;
       }
+      if (!batched && r.frames_per_syscall != 1.0) control_gate = false;
       if (r.batch_copy_bytes != 0) batch_zero_copy = false;
       report.add_section_row("syscall_rows", [&](JsonWriter& w) {
         w.field("msg_bytes", static_cast<std::uint64_t>(sz));
@@ -308,17 +311,20 @@ int run() {
               zero_copy_rx ? "PASS" : "FAIL");
   std::printf("  batched 10 B burst >= %.0f frames/sendmsg    : %s\n",
               kMinFramesPerSyscall10B, syscall_gate ? "PASS" : "FAIL");
+  std::printf("  control drain exactly 1 frame/sendmsg       : %s\n",
+              control_gate ? "PASS" : "FAIL");
   std::printf("  zero payload copies assembling batches      : %s\n",
               batch_zero_copy ? "PASS" : "FAIL");
   report.meta("encode_once", encode_once && rb_exact);
   report.meta("zero_copy_rx", zero_copy_rx);
   report.meta("syscall_gate_min_fps", kMinFramesPerSyscall10B);
   report.meta("gate_frames_per_syscall_ok", syscall_gate);
+  report.meta("gate_control_one_per_syscall_ok", control_gate);
   report.meta("gate_batch_zero_copy_ok", batch_zero_copy);
   const bool wrote = report.write();
   std::printf("  wrote %s : %s\n", report.path().c_str(), wrote ? "PASS" : "FAIL");
   return (encode_once && rb_exact && zero_copy_rx && syscall_gate &&
-          batch_zero_copy && wrote)
+          control_gate && batch_zero_copy && wrote)
              ? 0
              : 1;
 }

@@ -1,20 +1,15 @@
-// Execution pipeline: aggregate sharded-SMR throughput and per-frame
-// HMAC verify latency vs the reactor/crypto thread count T.
+// Execution pipeline: aggregate sharded-SMR throughput vs the reactor
+// thread count T.
 //
-// Two workloads:
-//   1. verify micro — per-frame HMAC-SHA256 verification of 1 KiB frames,
-//      inline vs a CryptoPool of k ∈ {1,2,4} workers (the transport's rx
-//      offload path without sockets).
-//   2. real-TCP sharded SMR — four ShardedNode processes-in-threads over a
-//      loopback mesh, G=4 groups, sweeping T ∈ {0,1,2,4} reactor threads
-//      (0 = the inline single-thread path; T>0 also turns on 2 crypto
-//      workers, the deployment shape the tentpole targets).
+// Workload: real-TCP sharded SMR — four ShardedNode processes-in-threads
+// over a loopback mesh, G=4 groups, sweeping T ∈ {0,1,2,4} reactor
+// threads (0 = the inline single-thread path).
 //
 // Gate (in-binary, exit 1 on failure; re-derived by CI from
 // BENCH_pipeline.json): T=2 must reach >= 1.3x the aggregate ops/s of
 // T=1. The gate is HARDWARE-GUARDED: with fewer than 2n (= 8) hardware
-// threads the four nodes' poll+reactor+crypto threads already oversubscribe
-// the cores at T=1, so extra reactors cannot buy wall-clock speedup — the
+// threads the four nodes' poll+reactor threads already oversubscribe the
+// cores at T=1, so extra reactors cannot buy wall-clock speedup — the
 // sweep still runs and reports, but the floor is only enforced when
 // hardware_concurrency >= 8 (CI re-checks under the same condition;
 // RITAS_PIPELINE_GATE=1/0 forces it on/off for calibration runs).
@@ -22,7 +17,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -30,9 +24,6 @@
 #include <thread>
 #include <vector>
 
-#include "crypto/ct.h"
-#include "crypto/hmac.h"
-#include "net/crypto_pool.h"
 #include "paper_harness.h"
 #include "ritas/sharded_node.h"
 #include "smr/kv_machine.h"
@@ -51,51 +42,7 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-// --- workload 1: per-frame verify latency ----------------------------------
-
-struct VerifyResult {
-  double ns_per_frame = 0;
-  double frames_per_s = 0;
-};
-
-VerifyResult verify_micro(std::uint32_t workers, int frames) {
-  const Bytes key(32, 0x4b);
-  const Bytes header(24, 0x11);
-  const Bytes body(1024, 0x22);
-  const Sha256::Digest want = hmac_sha256_2(key, header, body);
-  const auto digest_ok = [&](const Sha256::Digest& got) {
-    return ct_equal(ByteView(got.data(), got.size()),
-                    ByteView(want.data(), want.size()));
-  };
-  const auto t0 = Clock::now();
-  if (workers == 0) {
-    std::uint64_t ok = 0;
-    for (int i = 0; i < frames; ++i) {
-      ok += digest_ok(hmac_sha256_2(key, header, body)) ? 1 : 0;
-    }
-    if (ok != static_cast<std::uint64_t>(frames)) std::abort();
-  } else {
-    net::CryptoPool pool(workers);
-    std::atomic<int> done{0};
-    for (int i = 0; i < frames; ++i) {
-      pool.submit([&] {
-        if (digest_ok(hmac_sha256_2(key, header, body))) {
-          done.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    while (done.load(std::memory_order_relaxed) < frames) {
-      std::this_thread::yield();
-    }
-  }
-  const double ms = ms_since(t0);
-  VerifyResult r;
-  r.ns_per_frame = ms * 1e6 / frames;
-  r.frames_per_s = frames / (ms / 1e3);
-  return r;
-}
-
-// --- workload 2: real-TCP sharded SMR sweep --------------------------------
+// --- real-TCP sharded SMR sweep ---------------------------------------------
 
 std::vector<net::PeerAddr> reserve_local_ports(std::uint32_t n) {
   std::vector<net::PeerAddr> peers;
@@ -146,8 +93,6 @@ struct SmrResult {
   double agg_ops_s = 0;
   std::uint64_t handoff_enqueued = 0;
   std::uint64_t handoff_dropped = 0;
-  std::uint64_t crypto_offloaded = 0;
-  std::uint64_t crypto_mac_offloaded = 0;
 };
 
 SmrResult run_smr_once(std::uint32_t reactor_threads, std::uint64_t seed) {
@@ -162,7 +107,6 @@ SmrResult run_smr_once(std::uint32_t reactor_threads, std::uint64_t seed) {
     o.master_secret = to_bytes("bench-pipeline");
     o.groups = kGroups;
     o.reactor_threads = reactor_threads;
-    o.crypto_threads = reactor_threads > 0 ? 2 : 0;
     o.rng_seed = seed;
     nodes[p] = std::make_unique<ShardedNode>(std::move(o));
     starters.emplace_back([&nodes, p] { nodes[p]->start(); });
@@ -194,9 +138,6 @@ SmrResult run_smr_once(std::uint32_t reactor_threads, std::uint64_t seed) {
     const auto ps = nodes[p]->pipeline_stats();
     r.handoff_enqueued += ps.handoff_enqueued;
     r.handoff_dropped += ps.handoff_dropped;
-    const auto ts = nodes[p]->transport_stats();
-    r.crypto_offloaded += ts.crypto_offloaded;
-    r.crypto_mac_offloaded += ts.crypto_mac_offloaded;
   }
   for (auto& n : nodes) n->stop();
   return r;
@@ -213,8 +154,6 @@ SmrResult run_smr_avg(std::uint32_t reactor_threads, int runs) {
     acc.agg_ops_s += r.agg_ops_s / runs;
     acc.handoff_enqueued += r.handoff_enqueued;
     acc.handoff_dropped += r.handoff_dropped;
-    acc.crypto_offloaded += r.crypto_offloaded;
-    acc.crypto_mac_offloaded += r.crypto_mac_offloaded;
   }
   return acc;
 }
@@ -236,8 +175,7 @@ int main() {
   }
 
   print_header(
-      "Execution pipeline: reactor + crypto threads vs aggregate "
-      "sharded-SMR ops/s and per-frame verify latency");
+      "Execution pipeline: reactor threads vs aggregate sharded-SMR ops/s");
 
   BenchReport report("pipeline");
   report.meta("n", kN);
@@ -248,25 +186,8 @@ int main() {
   report.meta("gate_enforced", gate_enforced);
   report.meta("min_speedup_t2", kMinSpeedupT2);
 
-  // --- verify micro ---------------------------------------------------------
-  const int kFrames = bench_runs(3) * 2000;
-  std::printf("per-frame HMAC verify (1 KiB frames, %d frames):\n", kFrames);
-  std::printf("%-10s %14s %14s\n", "workers", "ns/frame", "frames/s");
-  for (std::uint32_t k : {0u, 1u, 2u, 4u}) {
-    const VerifyResult v = verify_micro(k, kFrames);
-    std::printf("%-10s %14.0f %14.0f\n",
-                k == 0 ? "inline" : std::to_string(k).c_str(), v.ns_per_frame,
-                v.frames_per_s);
-    report.add_row([&](ritas::JsonWriter& w) {
-      w.field("kind", "verify");
-      w.field("workers", k);
-      w.field("ns_per_frame", v.ns_per_frame);
-      w.field("frames_per_s", v.frames_per_s);
-    });
-  }
-
   // --- real-TCP sharded sweep ----------------------------------------------
-  std::printf("\nsharded SMR over real TCP (n=%u, G=%u, %llu ops):\n", kN,
+  std::printf("sharded SMR over real TCP (n=%u, G=%u, %llu ops):\n", kN,
               kGroups,
               static_cast<unsigned long long>(kGroups) * kPerShardOps);
   std::printf("%-10s %12s %14s %10s %12s\n", "reactors", "elapsed(ms)",
@@ -290,14 +211,11 @@ int main() {
     report.add_row([&](ritas::JsonWriter& w) {
       w.field("kind", "smr");
       w.field("reactor_threads", t);
-      w.field("crypto_threads", t > 0 ? 2u : 0u);
       w.field("elapsed_ms", r.elapsed_ms);
       w.field("agg_ops_s", r.agg_ops_s);
       w.field("speedup_vs_t1", speedup);
       w.field("handoff_enqueued", r.handoff_enqueued);
       w.field("handoff_dropped", r.handoff_dropped);
-      w.field("crypto_offloaded", r.crypto_offloaded);
-      w.field("crypto_mac_offloaded", r.crypto_mac_offloaded);
       w.field("completed", r.done);
     });
   }

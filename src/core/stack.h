@@ -87,17 +87,6 @@ struct StackConfig {
   /// broadcast accepts new AB_MSG broadcast instances.
   std::uint64_t ab_msg_window = 8192;
 
-  // --- execution-pipeline knobs (carried, not consumed) -------------------
-  // The stack itself is a single-threaded passive reactor and ignores
-  // these; they ride on the config so service harnesses (ritas::Context,
-  // smr sharded deployments) agree on how many reactor threads run the
-  // groups and how many crypto workers the transport uses. 0 = inline
-  // single-thread execution, bit-identical to the pre-pipeline stack.
-  // Validated (<= 64) in the ProtocolStack constructor and again by the
-  // harness that consumes them.
-  std::uint32_t reactor_threads = 0;
-  std::uint32_t crypto_threads = 0;
-
   // --- ablation switches (benchmarks only; defaults = the paper's design) --
   /// Use reliable broadcast instead of echo broadcast for the MVC VECT
   /// phase — undoes the paper's §2.5 optimization to measure its value.

@@ -100,8 +100,6 @@ struct TcpTransport::Counters {
   std::atomic<std::uint64_t> queue_drops{0};
   std::atomic<std::uint64_t> link_reconnects{0};
   std::atomic<std::uint64_t> handshake_failures{0};
-  std::atomic<std::uint64_t> crypto_offloaded{0};
-  std::atomic<std::uint64_t> crypto_mac_offloaded{0};
   std::atomic<std::uint64_t> sendmsg_calls{0};
   std::atomic<std::uint64_t> bytes_to_kernel{0};
   std::atomic<std::uint64_t> batch_copy_bytes{0};
@@ -134,11 +132,6 @@ TcpTransport::TcpTransport(Options opts, const KeyChain& keys)
     seed = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
   }
   rng_ = std::make_unique<Rng>(seed);
-  // Crypto offload only exists when there is MAC work to move; with
-  // authentication off the option is inert and the wire path untouched.
-  if (opts_.authenticate && opts_.crypto_threads > 0) {
-    crypto_ = std::make_unique<CryptoPool>(opts_.crypto_threads);
-  }
   conns_.reserve(opts_.n);
   for (ProcessId p = 0; p < opts_.n; ++p) {
     conns_.push_back(std::make_unique<Conn>(opts_.max_frame, opts_.authenticate));
@@ -215,10 +208,6 @@ void TcpTransport::start() {
 void TcpTransport::stop() {
   stopped_.store(true);
   wakeup();
-  // Join the crypto workers first: their jobs touch counters_ and the
-  // wakeup pipe, both of which stay alive below; after the join no
-  // off-thread code runs against this object.
-  crypto_.reset();
   for (auto& c : conns_) {
     std::lock_guard<std::mutex> lock(c->mutex);
     c->fd.reset();
@@ -278,28 +267,22 @@ bool TcpTransport::write_all(int fd, ByteView data) {
   return true;
 }
 
-bool TcpTransport::prep_entry(Conn& c, Retained& e, ProcessId to) {
-  if (e.prep_sid == c.sid) return true;  // header + MAC already current
-  bool have_mac = false;
-  if (e.mac) {
-    if (e.mac->sid == c.sid) {
-      if (!e.mac->ready.load(std::memory_order_acquire)) {
-        return false;  // still computing: the drain must stop here (order)
-      }
-      e.mac_trailer = e.mac->mac;
-      have_mac = true;
-    }
-    // Ready and adopted, or staged under a dead session: either way the
-    // slot is spent. A stale-sid slot falls through to the inline re-MAC.
-    e.mac.reset();
-  }
-  if (!have_mac && opts_.authenticate) {
-    Writer macin(24);
-    macin.u32(opts_.self);
-    macin.u32(to);
-    macin.u64(c.sid);
-    macin.u64(e.counter);
-    e.mac_trailer = hmac_sha256_2(keys_.key(to), macin.data(), e.frame);
+Sha256::Digest TcpTransport::frame_mac(ProcessId from, ProcessId to,
+                                       std::uint64_t sid, std::uint64_t counter,
+                                       ByteView body) const {
+  Writer macin(24);
+  macin.u32(from);
+  macin.u32(to);
+  macin.u64(sid);
+  macin.u64(counter);
+  return hmac_sha256_2(keys_.key(from == opts_.self ? to : from), macin.data(),
+                       body);
+}
+
+void TcpTransport::prep_entry(Conn& c, Retained& e, ProcessId to) {
+  if (e.prep_sid == c.sid) return;  // header + MAC already current
+  if (opts_.authenticate) {
+    e.mac_trailer = frame_mac(opts_.self, to, c.sid, e.counter, e.frame);
   }
   Writer hdr(kFrameHeader);
   hdr.u32(static_cast<std::uint32_t>(e.frame.size()));
@@ -308,7 +291,6 @@ bool TcpTransport::prep_entry(Conn& c, Retained& e, ProcessId to) {
   const ByteView hb = hdr.data();
   std::memcpy(e.hdr.data(), hb.data(), e.hdr.size());
   e.prep_sid = c.sid;
-  return true;
 }
 
 void TcpTransport::drain_locked(Conn& c, ProcessId to) {
@@ -327,15 +309,15 @@ void TcpTransport::drain_locked(Conn& c, ProcessId to) {
     const std::uint64_t idx0 = c.tx_write_next - base;
     if (idx0 >= c.retained.size()) return;  // backlog fully written
 
-    // Gather consecutive ready frames into iovec triplets pointing straight
-    // at the retained header/body/MAC storage — zero payload copies.
+    // Gather consecutive frames into iovec triplets pointing straight at
+    // the retained header/body/MAC storage — zero payload copies.
     FrameImage imgs[kMaxBatchFrames];
     std::size_t nimg = 0;
     std::size_t batch_bytes = 0;
     for (std::size_t i = static_cast<std::size_t>(idx0);
          i < c.retained.size() && nimg < kMaxBatchFrames; ++i) {
       Retained& e = c.retained[i];
-      if (!prep_entry(c, e, to)) break;  // staged MAC still computing
+      prep_entry(c, e, to);
       FrameImage& img = imgs[nimg];
       img.parts[0] = ByteView(e.hdr.data(), e.hdr.size());
       img.parts[1] = e.frame;
@@ -347,8 +329,6 @@ void TcpTransport::drain_locked(Conn& c, ProcessId to) {
       // Soft cap: at least one frame is always offered.
       if (batch_bytes >= opts_.max_batch_bytes) break;
     }
-    if (nimg == 0) return;  // head is waiting on the crypto pool
-
     const BatchWriteResult r = sendmsg_batch(c.fd.get(), imgs, nimg,
                                              c.tx_partial, batch_iov_budget());
     counters_->sendmsg_calls.fetch_add(1, std::memory_order_relaxed);
@@ -373,7 +353,6 @@ void TcpTransport::drain_locked(Conn& c, ProcessId to) {
       acc -= imgs[fi].size();
       Retained& e = c.retained[static_cast<std::size_t>(idx0) + fi];
       e.written = true;
-      e.mac.reset();
       counters_->frames_sent.fetch_add(1, std::memory_order_relaxed);
       counters_->bytes_sent.fetch_add(imgs[fi].size(), std::memory_order_relaxed);
       if (e.retx) {
@@ -401,37 +380,12 @@ void TcpTransport::drain_pending() {
       std::lock_guard<std::mutex> lock(c.mutex);
       drain_locked(c, p);
     }
-    if (crypto_) harvest_verified(p);
   }
-}
-
-void TcpTransport::stage_mac(Conn& c, ProcessId to, std::uint64_t counter,
-                             const Slice& frame) {
-  auto slot = std::make_shared<MacSlot>();
-  slot->sid = c.sid;
-  c.retained.back().mac = slot;
-  // The job is self-contained: key view (keys_ outlives the joined pool),
-  // ids, counter, refcounted frame. No transport locks are taken.
-  const ProcessId self = opts_.self;
-  const std::uint64_t sid = c.sid;
-  const ByteView key = keys_.key(to);
-  crypto_->submit([this, slot, key, self, to, sid, counter, frame] {
-    Writer macin(24);
-    macin.u32(self);
-    macin.u32(to);
-    macin.u64(sid);
-    macin.u64(counter);
-    slot->mac = hmac_sha256_2(key, macin.data(), frame);
-    slot->ready.store(true, std::memory_order_release);
-    counters_->crypto_mac_offloaded.fetch_add(1, std::memory_order_relaxed);
-    wakeup();  // poll thread drains the staged frames in counter order
-  });
 }
 
 void TcpTransport::send(ProcessId to, Slice frame) {
   if (stopped_.load() || to >= opts_.n || to == opts_.self) return;
   Conn& c = *conns_[to];
-  bool need_wake = false;
   {
     std::lock_guard<std::mutex> lock(c.mutex);
     const std::uint64_t counter = c.tx_next++;
@@ -441,7 +395,7 @@ void TcpTransport::send(ProcessId to, Slice frame) {
     // reached a socket is real backpressure loss and is counted. The one
     // frame eviction must never touch is a half-written head — popping it
     // would tear the byte stream mid-frame.
-    c.retained.push_back(Retained{counter, frame, false, false, nullptr});
+    c.retained.push_back(Retained{counter, frame, false, false});
     c.retained_bytes += frame.size();
     while (c.retained_bytes > opts_.send_queue_max_bytes && c.retained.size() > 1) {
       const Retained& victim = c.retained.front();
@@ -454,27 +408,13 @@ void TcpTransport::send(ProcessId to, Slice frame) {
     if (c.state != LinkState::kUp || c.broken || !c.fd.valid()) {
       return;  // queued; the next session's resync flushes it
     }
-    if (crypto_) {
-      // Offload: the MAC computes on the pool and the poll thread drains
-      // once the digest is ready — the sender never blocks on crypto or
-      // I/O here, it only assigned a counter and queued.
-      stage_mac(c, to, counter, frame);
-      return;  // the worker's wakeup() triggers the poll-thread drain
-    }
-    // Inline MAC on the sender thread (keeps multi-sender parallelism even
-    // without a pool); the write either happens here (batching off) or on
-    // the poll thread's next batched drain.
+    // MAC on the sender thread (keeps multi-sender parallelism); the write
+    // happens on the poll thread's next batched drain.
     prep_entry(c, c.retained.back(), to);
-    if (opts_.batch_sends) {
-      need_wake = !is_poll_thread();
-    } else {
-      const bool was_blocked = c.tx_blocked;
-      drain_locked(c, to);
-      // A newly-blocked link needs the poll thread to register EPOLLOUT.
-      need_wake = c.tx_blocked && !was_blocked && !is_poll_thread();
-    }
   }
-  if (need_wake) wakeup();
+  // A send from the poll thread itself is flushed by poll_once's
+  // flush-before-return drain; any other thread wakes it.
+  if (!is_poll_thread()) wakeup();
 }
 
 void TcpTransport::begin_dial(ProcessId peer) {
@@ -1085,8 +1025,8 @@ void TcpTransport::poll_once(int timeout_ms) {
   poll_tid_.store(std::hash<std::thread::id>{}(std::this_thread::get_id()),
                   std::memory_order_relaxed);
   service_timers();
-  // Top-of-cycle drain: flush frames enqueued (or MAC-completed) since the
-  // last wait — the wakeup pipe got us here for exactly this.
+  // Top-of-cycle drain: flush frames enqueued since the last wait — the
+  // wakeup pipe got us here for exactly this.
   drain_pending();
   const int tmo = fold_timer_deadlines(timeout_ms);
 #if RITAS_HAS_EPOLL
@@ -1152,42 +1092,8 @@ void TcpTransport::process_rx(ProcessId peer) {
       counters_->session_rejects.fetch_add(1, std::memory_order_relaxed);
       ok = false;
     }
-    if (ok && opts_.authenticate && crypto_) {
-      // Offload: park the frame in arrival order and let a worker verify
-      // the MAC. The counter-floor decision and delivery both wait for
-      // the harvest so nothing outruns an unverified predecessor.
-      auto pv = std::make_shared<PendingVerify>();
-      pv->counter = f.counter;
-      pv->body = Slice(Bytes(f.body.begin(), f.body.end()));
-      Sha256::Digest want{};
-      std::memcpy(want.data(), f.mac.data(), kMacSize);
-      c.verify_q.push_back(pv);
-      counters_->crypto_offloaded.fetch_add(1, std::memory_order_relaxed);
-      const ProcessId self = opts_.self;
-      const std::uint64_t sid = f.sid;
-      const ByteView key = keys_.key(peer);
-      crypto_->submit([this, pv, key, peer, self, sid, want] {
-        Writer macin(24);
-        macin.u32(peer);
-        macin.u32(self);
-        macin.u64(sid);
-        macin.u64(pv->counter);
-        const auto mac = hmac_sha256_2(key, macin.data(), pv->body);
-        const bool good = ct_equal(ByteView(mac.data(), mac.size()),
-                                   ByteView(want.data(), want.size()));
-        pv->verdict.store(good ? 1 : 0, std::memory_order_release);
-        wakeup();  // poll thread harvests in arrival order
-      });
-      c.rx.consume();
-      continue;
-    }
     if (ok && opts_.authenticate) {
-      Writer macin(24);
-      macin.u32(peer);
-      macin.u32(opts_.self);
-      macin.u64(f.sid);
-      macin.u64(f.counter);
-      const auto mac = hmac_sha256_2(keys_.key(peer), macin.data(), f.body);
+      const auto mac = frame_mac(peer, opts_.self, f.sid, f.counter, f.body);
       if (!ct_equal(ByteView(mac.data(), mac.size()), f.mac)) {
         counters_->mac_failures.fetch_add(1, std::memory_order_relaxed);
         ok = false;
@@ -1219,37 +1125,6 @@ void TcpTransport::process_rx(ProcessId peer) {
     c.rx.consume();
   }
   c.rx.compact();
-  if (crypto_) harvest_verified(peer);
-}
-
-void TcpTransport::harvest_verified(ProcessId peer) {
-  Conn& c = *conns_[peer];
-  while (!c.verify_q.empty()) {
-    PendingVerify& pv = *c.verify_q.front();
-    const int verdict = pv.verdict.load(std::memory_order_acquire);
-    if (verdict < 0) break;  // FIFO: never deliver past an unresolved frame
-    if (verdict == 0) {
-      // Same accounting as the inline path: a forged frame is a counted
-      // drop that consumes no counter and delays nothing behind it.
-      counters_->mac_failures.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      bool ok = true;
-      if (pv.counter < c.rx_expected) {
-        counters_->replay_drops.fetch_add(1, std::memory_order_relaxed);
-        ok = false;
-      } else if (pv.counter > c.rx_expected) {
-        counters_->counter_gaps.fetch_add(pv.counter - c.rx_expected,
-                                          std::memory_order_relaxed);
-        c.rx_expected = pv.counter;
-      }
-      if (ok) {
-        ++c.rx_expected;
-        counters_->frames_received.fetch_add(1, std::memory_order_relaxed);
-        if (sink_) sink_(peer, std::move(pv.body));
-      }
-    }
-    c.verify_q.pop_front();
-  }
 }
 
 std::vector<LinkState> TcpTransport::link_states() const {
@@ -1290,9 +1165,6 @@ TcpTransport::Stats TcpTransport::stats() const {
   s.link_reconnects = counters_->link_reconnects.load(std::memory_order_relaxed);
   s.handshake_failures =
       counters_->handshake_failures.load(std::memory_order_relaxed);
-  s.crypto_offloaded = counters_->crypto_offloaded.load(std::memory_order_relaxed);
-  s.crypto_mac_offloaded =
-      counters_->crypto_mac_offloaded.load(std::memory_order_relaxed);
   s.sendmsg_calls = counters_->sendmsg_calls.load(std::memory_order_relaxed);
   s.bytes_to_kernel = counters_->bytes_to_kernel.load(std::memory_order_relaxed);
   s.batch_copy_bytes = counters_->batch_copy_bytes.load(std::memory_order_relaxed);

@@ -32,9 +32,8 @@ Context::Options validate(Context::Options o) {
   if (o.batch.enabled && (o.batch.max_msgs == 0 || o.batch.max_bytes == 0)) {
     throw std::invalid_argument("ritas::Context: batch limits must be > 0");
   }
-  if (o.reactor_threads > 64 || o.crypto_threads > 64) {
-    throw std::invalid_argument(
-        "ritas::Context: reactor_threads/crypto_threads must be <= 64");
+  if (o.reactor_threads > 64) {
+    throw std::invalid_argument("ritas::Context: reactor_threads must be <= 64");
   }
   // Unknown or incompatible protocol-variant selections fail here, before
   // any networking exists (the ProtocolStack constructor re-checks, but
@@ -58,8 +57,6 @@ Context::Context(Options opts)
   topts.peers = opts_.peers;
   topts.authenticate = opts_.authenticate;
   topts.min_start_links = opts_.min_start_links;
-  topts.crypto_threads = opts_.crypto_threads;
-  topts.batch_sends = opts_.transport_batch;
   // Decorrelate per-process transport randomness (handshake nonces,
   // backoff jitter) even when every node is configured with the same seed.
   topts.rng_seed = opts_.rng_seed == 0
@@ -74,8 +71,6 @@ Context::Context(Options opts)
   cfg.ab_batch.enabled = opts_.batch.enabled;
   cfg.ab_batch.max_batch_msgs = opts_.batch.max_msgs;
   cfg.ab_batch.max_batch_bytes = opts_.batch.max_bytes;
-  cfg.reactor_threads = opts_.reactor_threads;
-  cfg.crypto_threads = opts_.crypto_threads;
   if (opts_.reactor_threads > 0) {
     ReactorPool::Options popts;
     popts.threads = opts_.reactor_threads;

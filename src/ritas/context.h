@@ -86,22 +86,13 @@ class Context {
       std::uint32_t max_bytes = 16 * 1024;
     };
     Batch batch;
-    /// Multi-core execution pipeline knobs (authoritative: overwrite
-    /// stack.reactor_threads / stack.crypto_threads). 0 = today's inline
-    /// single-thread path, bit-identical on wire, trace and bench output.
+    /// Multi-core execution pipeline knob. 0 = the inline single-thread
+    /// path, bit-identical on wire, trace and bench output.
     /// reactor_threads > 0 moves protocol work off the transport poll
     /// thread onto a ReactorPool (this single-group session pins its
     /// group to reactor 0; smr::ShardedService spreads G groups across
-    /// reactors); crypto_threads > 0 moves per-frame HMAC work onto the
-    /// transport's crypto workers. Validated: both <= 64.
+    /// reactors). Validated: <= 64.
     std::uint32_t reactor_threads = 0;
-    std::uint32_t crypto_threads = 0;
-    /// Transport send batching (TcpTransport::Options::batch_sends): when
-    /// on, send() stages frames and the poll thread flushes a whole queue
-    /// per sendmsg; when off, every send drains inline (one syscall per
-    /// frame, the pre-fast-path behavior). Local-only — changes no wire
-    /// bytes, so processes may disagree on it.
-    bool transport_batch = true;
   };
 
   struct Delivery {

@@ -68,20 +68,16 @@ enum {
                                   * common coin (derived from the group
                                   * key), which its agreement argument
                                   * requires. */
-  RITAS_OPT_REACTOR_THREADS = 9, /* execution-pipeline reactor threads,
+  RITAS_OPT_REACTOR_THREADS = 9  /* execution-pipeline reactor threads,
                                   * 0..64; 0 (default) = inline
                                   * single-thread path, bit-identical on
                                   * wire/trace/bench. Local knob: it never
                                   * touches the wire, so processes may
                                   * differ. */
-  RITAS_OPT_CRYPTO_THREADS = 10, /* HMAC worker threads, 0..64; 0 = MACs
-                                  * inline on the calling thread. Local
-                                  * knob like REACTOR_THREADS. */
-  RITAS_OPT_TRANSPORT_BATCH = 11 /* transport send batching: 1 (default)
-                                  * = sends stage frames and the poll
-                                  * thread flushes many per sendmsg; 0 =
-                                  * drain inline per send. Local knob —
-                                  * wire bytes are identical either way. */
+  /* 10 (was RITAS_OPT_CRYPTO_THREADS) and 11 (was
+   * RITAS_OPT_TRANSPORT_BATCH) are reserved and never reused;
+   * ritas_set_opt rejects them with RITAS_EINVAL like any unknown
+   * option. */
 };
 
 /* Per-link channel health, as reported by ritas_link_states. Values match
@@ -107,9 +103,10 @@ enum {
   RITAS_STAT_QUEUE_DROPS = 10,     /* never-sent frames evicted by the cap */
   RITAS_STAT_LINK_RECONNECTS = 11, /* handshakes that revived a dead link */
   RITAS_STAT_HANDSHAKE_FAILURES = 12,
-  /* Execution-pipeline counters (all 0 with the default inline knobs). */
-  RITAS_STAT_CRYPTO_OFFLOADED = 13,     /* rx MAC verifies run on workers */
-  RITAS_STAT_CRYPTO_MAC_OFFLOADED = 14, /* tx MAC computes run on workers */
+  /* 13 (was RITAS_STAT_CRYPTO_OFFLOADED) and 14 (was
+   * RITAS_STAT_CRYPTO_MAC_OFFLOADED) are reserved and never reused;
+   * ritas_stat rejects them with RITAS_EINVAL like any unknown stat. */
+  /* Execution-pipeline counters (all 0 with the default inline knob). */
   RITAS_STAT_HANDOFF_ENQUEUED = 15,     /* frames handed to reactor rings */
   RITAS_STAT_HANDOFF_DROPPED = 16,      /* frames dropped on a full ring */
   RITAS_STAT_REACTOR_QUEUE_DEPTH = 17,  /* max current ring occupancy */

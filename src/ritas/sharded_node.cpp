@@ -19,9 +19,8 @@ ShardedNode::Options validate(ShardedNode::Options o) {
     throw std::invalid_argument("ShardedNode: peers.size() must equal n");
   }
   if (o.groups == 0) throw std::invalid_argument("ShardedNode: groups == 0");
-  if (o.reactor_threads > 64 || o.crypto_threads > 64) {
-    throw std::invalid_argument(
-        "ShardedNode: reactor_threads/crypto_threads must be <= 64");
+  if (o.reactor_threads > 64) {
+    throw std::invalid_argument("ShardedNode: reactor_threads must be <= 64");
   }
   if (!o.pinning.empty()) {
     if (o.reactor_threads == 0) {
@@ -50,8 +49,6 @@ ShardedNode::ShardedNode(Options opts)
   topts.peers = opts_.peers;
   topts.authenticate = opts_.authenticate;
   topts.min_start_links = opts_.min_start_links;
-  topts.crypto_threads = opts_.crypto_threads;
-  topts.batch_sends = opts_.transport_batch;
   topts.rng_seed =
       opts_.rng_seed == 0
           ? 0
@@ -84,8 +81,6 @@ ShardedNode::ShardedNode(Options opts)
     cfg.n = opts_.n;
     cfg.self = opts_.self;
     cfg.group = g;
-    cfg.reactor_threads = opts_.reactor_threads;
-    cfg.crypto_threads = opts_.crypto_threads;
     const std::uint64_t proc_seed =
         base ^ (0x1000 + opts_.self) ^
         (static_cast<std::uint64_t>(g) * 0x9e3779b97f4a7c15ULL);

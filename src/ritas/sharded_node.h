@@ -6,15 +6,15 @@
 // group = shard) demultiplexed by a GroupMux, one AtomicBroadcast root
 // per group feeding one smr::ShardedService. With reactor_threads > 0
 // the mux hands each frame to the ReactorPool and the service's G groups
-// are pinned across the T reactors (Options::pinning, default g % T);
-// with crypto_threads > 0 the transport's per-frame HMAC work runs on
-// crypto workers. Both 0 (default) reproduces the single-thread path: a
-// poll thread that does everything, byte-identical to PR 6's wiring.
+// are pinned across the T reactors (Options::pinning, default g % T).
+// reactor_threads = 0 (default) reproduces the single-thread path: a poll
+// thread that does everything, byte-identical to the pre-pipeline wiring.
 //
 // Thread ownership map:
-//   poll thread    — sockets, link state machines, mux routing, handoff
+//   poll thread    — sockets, frame MAC verify, link state machines, mux
+//                    routing, handoff
 //   reactor r      — every stack/AB/applier of the groups pinned to r
-//   crypto workers — per-frame HMAC verify/compute only, no state
+//                    (and the MACs of the frames they send)
 //   app threads    — submit() (posts to the owning reactor), stats, waits
 //
 // Per-group tracers (Options::trace) are recorded only by the owning
@@ -54,18 +54,14 @@ class ShardedNode {
     bool authenticate = true;
     /// Shard count: one consensus group (and one ProtocolStack) each.
     std::uint32_t groups = 1;
-    /// Execution pipeline (0/0 = single-thread path, see header).
+    /// Execution pipeline (0 = single-thread path, see header).
     std::uint32_t reactor_threads = 0;
-    std::uint32_t crypto_threads = 0;
-    /// Transport send batching (multi-frame sendmsg flush; local-only, no
-    /// wire change). Mirrors Context::Options::transport_batch.
-    bool transport_batch = true;
     /// Explicit group → reactor pinning (size = groups, entries <
     /// reactor_threads). Empty = g % reactor_threads. Pinning is part of
     /// the determinism contract: same seed + same pinning ⇒ bit-identical
     /// per-group traces.
     std::vector<std::uint32_t> pinning;
-    StackConfig stack;  // template; n/self/group/pipeline knobs overwritten
+    StackConfig stack;  // template; n/self/group overwritten
     std::uint64_t rng_seed = 0;  // 0 = std::random_device
     std::uint32_t min_start_links = 0;
     /// Attach one Tracer per group (read back with group_trace_bytes).

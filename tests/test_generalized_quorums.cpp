@@ -6,6 +6,9 @@
 // sizes with the schedules most likely to split snapshots apart.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "sim_helpers.h"
 
 namespace ritas {
@@ -15,11 +18,18 @@ using test::Cluster;
 using test::fast_lan;
 using test::run_binary_consensus;
 
+// gtest prints the raw bytes of the parameter into each test's name, so the
+// struct has no implicit padding: the former padding bytes are explicit,
+// zeroed members, and the names no longer carry uninitialized memory.
 struct SlackParams {
   std::uint32_t n;      // 5 or 6: f = 1 with slack
+  std::uint32_t pad0 = 0;
   std::uint64_t seed;
   bool byzantine;
+  std::uint8_t pad1[7] = {};
 };
+static_assert(std::has_unique_object_representations_v<SlackParams>,
+              "SlackParams must have no padding bytes");
 
 std::string slack_name(const ::testing::TestParamInfo<SlackParams>& info) {
   return "n" + std::to_string(info.param.n) +
@@ -52,8 +62,8 @@ std::vector<SlackParams> slack_matrix() {
   std::vector<SlackParams> out;
   for (std::uint32_t n : {5u, 6u}) {
     for (std::uint64_t seed = 0; seed < 10; ++seed) {
-      out.push_back({n, seed, false});
-      out.push_back({n, seed, true});
+      out.push_back({.n = n, .seed = seed, .byzantine = false});
+      out.push_back({.n = n, .seed = seed, .byzantine = true});
     }
   }
   return out;

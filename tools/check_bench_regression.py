@@ -15,8 +15,10 @@ bench-smoke, currently 3). Two headline figures are gated:
     tolerance above baseline (fewer encodes is the whole point). The same
     artifact's syscall_rows (real-TCP transport batching, real-time) are
     checked shape-only against the bench's own floors: >= min_fps frames
-    per sendmsg on the 10 B batched burst, > 1 on every batched cell, and
-    zero payload bytes copied assembling batches.
+    per sendmsg on the 10 B batched burst, >= 1 on every batched cell,
+    exactly 1.0 on every one-frame-per-sendmsg control cell
+    (batched = false, i.e. max_batch_bytes = 0), and zero payload bytes
+    copied assembling batches.
   * variant matrix           — BENCH_variants.json, every in-binary shape
     gate must hold (imbs-raynal beats bracha RB on latency and messages,
     crain uses fewer messages per decision, all cells completed), and per
@@ -33,12 +35,13 @@ bench-smoke, currently 3). Two headline figures are gated:
   * execution pipeline       — BENCH_pipeline.json is the one REAL-TIME
     artifact: absolute ops/s depend on the host, so the fresh run is
     checked against its own in-binary gates instead of baseline numbers.
-    Every sweep cell must have completed with zero handoff drops, and —
-    only when the fresh run reports gate_enforced (hardware guard:
-    hw_threads >= 2n, overridable via RITAS_PIPELINE_GATE) — the T=2
-    aggregate throughput must reach min_speedup_t2 x the T=1 figure. When
-    both fresh and baseline runs were enforced, the speedup ratio itself
-    must also stay within tolerance of the baseline ratio.
+    Every sweep cell must have completed with zero handoff drops, the T=2
+    cell must actually have handed frames to its reactors, and — only when
+    the fresh run reports gate_enforced (hardware guard: hw_threads >= 2n,
+    overridable via RITAS_PIPELINE_GATE) — the T=2 aggregate throughput
+    must reach min_speedup_t2 x the T=1 figure (re-derived from the rows).
+    When both fresh and baseline runs were enforced, the speedup ratio
+    itself must also stay within tolerance of the baseline ratio.
 
 Usage:  check_bench_regression.py <bench-out-dir> [--baselines DIR]
                                   [--tolerance 0.20]
@@ -132,9 +135,10 @@ def check_buffer(out_dir: Path, base_dir: Path, tol: float) -> list:
 
     # Transport fast path: multi-frame sendmsg batching. The 10 B bursty
     # workload must pack >= syscall_gate_min_fps frames per syscall, every
-    # batched cell must beat one-frame-per-syscall, and batch assembly must
-    # copy zero payload bytes; all re-derived from the rows, the bench's
-    # own meta verdicts must agree.
+    # batched cell must reach one-frame-per-syscall, every control cell
+    # (max_batch_bytes = 0) must sit at exactly 1.0, and batch assembly
+    # must copy zero payload bytes; all re-derived from the rows, the
+    # bench's own meta verdicts must agree.
     sys_rows = fresh_doc.get("syscall_rows")
     if not sys_rows:
         return failures + ["buffer: syscall_rows missing from artifact"]
@@ -144,22 +148,28 @@ def check_buffer(out_dir: Path, base_dir: Path, tol: float) -> list:
     for (m, batched), row in sorted(by_key.items()):
         fps = row["frames_per_syscall"]
         copied = row["batch_copy_bytes"]
-        floor = min_fps if (batched and m == 10) else (1.0 if batched else 0.0)
-        verdict = "ok" if fps >= floor and copied == 0 else "REGRESSED"
+        floor = min_fps if (batched and m == 10) else 1.0
+        fps_ok = fps >= floor if batched else fps == 1.0
+        verdict = "ok" if fps_ok and copied == 0 else "REGRESSED"
+        bound = f"floor {floor:.1f}" if batched else "exactly 1.0"
         print(f"buffer syscalls m={m}B batched={batched}: "
-              f"{fps:.1f} frames/sendmsg (floor {floor:.1f}), "
+              f"{fps:.1f} frames/sendmsg ({bound}), "
               f"copied {copied} B {verdict}")
-        if fps < floor:
+        if not fps_ok:
             failures.append(
                 f"buffer syscalls ({m}, {batched}): frames_per_syscall "
-                f"{fps:.2f} < floor {floor:.1f}")
+                f"{fps:.4f} violates {bound}")
         if copied != 0:
             failures.append(
                 f"buffer syscalls ({m}, {batched}): batch assembly copied "
                 f"{copied} payload bytes (must be 0)")
-    if (10, True) not in by_key:
-        failures.append("buffer syscalls: 10 B batched row missing")
-    for gate in ("gate_frames_per_syscall_ok", "gate_batch_zero_copy_ok"):
+    for m in (10, 100, 1000):
+        for batched in (True, False):
+            if (m, batched) not in by_key:
+                failures.append(
+                    f"buffer syscalls: {m} B batched={batched} row missing")
+    for gate in ("gate_frames_per_syscall_ok", "gate_control_one_per_syscall_ok",
+                 "gate_batch_zero_copy_ok"):
         ok = meta.get(gate)
         print(f"buffer meta {gate}: {ok}")
         if ok is not True:
@@ -249,11 +259,14 @@ def check_pipeline(out_dir: Path, base_dir: Path, tol: float) -> list:
             failures.append(
                 f"pipeline T={t}: completed={row.get('completed')} "
                 f"handoff_dropped={row.get('handoff_dropped')}")
-    if not any(row.get("kind") == "verify" for row in fresh_doc["rows"]):
-        failures.append("pipeline: verify-latency rows disappeared")
+    t2 = smr.get(2, {})
+    print(f"pipeline T=2 handoff_enqueued: {t2.get('handoff_enqueued')}")
+    if not t2.get("handoff_enqueued"):
+        failures.append("pipeline: T=2 never handed frames to its reactors")
 
     enforced = meta.get("gate_enforced") is True
-    speedup = meta.get("speedup_t2", 0.0)
+    t1_ops = smr.get(1, {}).get("agg_ops_s", 0.0)
+    speedup = t2.get("agg_ops_s", 0.0) / t1_ops if t1_ops > 0 else 0.0
     floor = meta.get("min_speedup_t2", 1.3)
     print(f"pipeline speedup_t2: {speedup:.2f}x "
           f"(floor {floor:.2f}x, {'enforced' if enforced else 'report-only'}"
