@@ -12,7 +12,8 @@
 // never throws: the mux is the first code Byzantine bytes meet.
 //
 // Threading: on_packet runs on the transport poll thread only; the drop
-// counters are owned by that thread. attach/detach/bind_reactors only
+// counters are relaxed atomics, readable from any thread (a reactor
+// folds them into its metrics snapshot). attach/detach/bind_reactors only
 // while no traffic is in flight. With a ReactorPool bound (multi-core
 // pipeline), the mux is the GroupId → reactor routing seam: instead of
 // invoking the stack inline it hands the frame to the reactor that owns
@@ -20,6 +21,7 @@
 // the caller, byte-identical to the pre-pipeline path.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 
@@ -53,12 +55,12 @@ class GroupMux {
   void on_packet(ProcessId from, Slice frame) {
     const auto g = Message::peek_group(frame);
     if (!g) {
-      ++malformed_dropped_;
+      malformed_dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     auto it = routes_.find(*g);
     if (it == routes_.end()) {
-      ++foreign_dropped_;
+      foreign_dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     if (pool_ != nullptr && !pool_->inline_mode()) {
@@ -69,15 +71,19 @@ class GroupMux {
   }
 
   /// Frames whose (version, group) prefix did not parse.
-  std::uint64_t malformed_dropped() const { return malformed_dropped_; }
+  std::uint64_t malformed_dropped() const {
+    return malformed_dropped_.load(std::memory_order_relaxed);
+  }
   /// Frames addressed to a group with no stack attached here.
-  std::uint64_t foreign_dropped() const { return foreign_dropped_; }
+  std::uint64_t foreign_dropped() const {
+    return foreign_dropped_.load(std::memory_order_relaxed);
+  }
 
  private:
   ReactorPool* pool_ = nullptr;
   std::unordered_map<GroupId, ProtocolStack*> routes_;
-  std::uint64_t malformed_dropped_ = 0;
-  std::uint64_t foreign_dropped_ = 0;
+  std::atomic<std::uint64_t> malformed_dropped_{0};
+  std::atomic<std::uint64_t> foreign_dropped_{0};
 };
 
 }  // namespace ritas

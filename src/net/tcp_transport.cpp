@@ -651,6 +651,9 @@ void TcpTransport::complete_handshake(ProcessId peer, std::uint64_t nonce_d,
   const ByteView sid_key = opts_.authenticate ? keys_.key(peer) : ByteView{};
   const std::uint64_t sid = derive_sid(sid_key, dialer, acceptor, nonce_d, nonce_a);
 
+  // Counted before the link reads as up, so whoever sees the revived link
+  // or its traffic also sees the reconnect.
+  if (c.ever_up) counters_->link_reconnects.fetch_add(1, std::memory_order_relaxed);
   std::uint64_t flushed = 0;
   {
     std::lock_guard<std::mutex> lock(c.mutex);
@@ -683,7 +686,6 @@ void TcpTransport::complete_handshake(ProcessId peer, std::uint64_t nonce_d,
   }
   c.phase = HsPhase::kEstablished;
   if (c.retry) c.retry->on_up();
-  if (c.ever_up) counters_->link_reconnects.fetch_add(1, std::memory_order_relaxed);
   c.ever_up = true;
   trace_link(TraceEventKind::kLinkHandshake, peer, flushed);
   trace_link(TraceEventKind::kLinkUp, peer, sid);

@@ -10,10 +10,15 @@
 //   ab_bcast / ab_recv     atomic broadcast          (ritas_ab_*)
 //   bc / mvc / vc          propose, block, decide    (ritas_bc/mvc/vc)
 //
-// The protocol stack runs in a single reactor thread, independent of the
-// application thread (§3: "the protocol stack runs in a single thread,
-// independent of the application thread"). Application calls post work to
-// the reactor and block on futures/queues.
+// Context is the single-group front of ritas::NodeRuntime (node_runtime.h),
+// which owns the mesh, the stack, the poll thread and the task lane; this
+// class adds only the session's roots, receive windows and blocking
+// queues. The protocol stack runs in a single thread, independent of the
+// application thread (§3): the poll thread, or with reactor_threads > 0
+// reactor 0 of the runtime's pool (node_runtime.h has the thread map).
+// Application calls post work into that thread through the lane and block
+// on futures/queues; a call that loses a race with stop() either runs or
+// throws std::logic_error, never blocks forever.
 //
 // Instance naming convention (implicit agreement across processes): the
 // k-th rb/eb broadcast by origin o is root (kRB/kEB, o<<32|k); consensus
@@ -28,19 +33,14 @@
 #include <deque>
 #include <map>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "core/atomic_broadcast.h"
-#include "core/reactor.h"
-#include "core/stack.h"
-#include "crypto/keychain.h"
-#include "net/tcp_transport.h"
+#include "ritas/node_runtime.h"
 
 namespace ritas {
 
@@ -54,45 +54,18 @@ class ShutdownError : public std::runtime_error {
 
 class Context {
  public:
-  struct Options {
-    std::uint32_t n = 4;
-    ProcessId self = 0;
-    std::vector<net::PeerAddr> peers;  // one per process, index = id
-    /// Shared secret all processes derive pairwise keys from (the trusted
-    /// dealer of §2; distribute out of band).
-    Bytes master_secret;
-    bool authenticate = true;  // HMAC frames (the "IPSec" switch)
+  /// The shared node settings (membership, secret, seed, start quorum,
+  /// reactor_threads, the StackConfig template — see NodeConfig) plus
+  /// this front's own two.
+  struct Options : NodeConfig {
     /// Consensus group this session runs when several groups share one
-    /// mesh (sharded SMR). Authoritative: overwrites stack.group. Group 0
-    /// (default) keeps the original wire format; non-zero groups prefix
-    /// frames with the group id (docs/PROTOCOLS.md "Group multiplexing"),
-    /// so all correct processes of a group must configure it identically.
+    /// mesh (sharded SMR). Group 0 (default) keeps the original wire
+    /// format; non-zero groups prefix frames with the group id
+    /// (docs/PROTOCOLS.md "Group multiplexing"), so all correct processes
+    /// of a group must configure it identically.
     GroupId group = 0;
-    StackConfig stack;         // n/self/group overwritten
-    std::uint64_t rng_seed = 0;  // 0 = seed from std::random_device
     /// Receive-side broadcast instances pre-created per origin.
     std::uint32_t recv_window = 64;
-    /// start() returns once this many links are up (0 = auto: n - f - 1);
-    /// the remaining links keep dialing in the background and heal through
-    /// the transport's backoff/reconnect machinery.
-    std::uint32_t min_start_links = 0;
-    /// Atomic-broadcast payload batching (StackConfig::ab_batch). This is
-    /// the authoritative knob: it overwrites stack.ab_batch, and — being a
-    /// wire-format switch — must be configured identically at every
-    /// correct process.
-    struct Batch {
-      bool enabled = false;
-      std::uint32_t max_msgs = 64;
-      std::uint32_t max_bytes = 16 * 1024;
-    };
-    Batch batch;
-    /// Multi-core execution pipeline knob. 0 = the inline single-thread
-    /// path, bit-identical on wire, trace and bench output.
-    /// reactor_threads > 0 moves protocol work off the transport poll
-    /// thread onto a ReactorPool (this single-group session pins its
-    /// group to reactor 0; smr::ShardedService spreads G groups across
-    /// reactors). Validated: <= 64.
-    std::uint32_t reactor_threads = 0;
   };
 
   struct Delivery {
@@ -108,7 +81,7 @@ class Context {
   /// Validates `opts` up front — throws std::invalid_argument on an
   /// inconsistent membership (peers.size() != n, self >= n, n < 3f+1 for
   /// f >= 1, i.e. n < 4) or nonsensical knobs (zero recv_window, zero
-  /// batch limits) instead of letting them reach the mesh layer.
+  /// stack.ab_batch limits) instead of letting them reach the mesh layer.
   explicit Context(Options opts);
   ~Context();
 
@@ -159,25 +132,20 @@ class Context {
   std::optional<Bytes> mvc(Bytes proposal);
   std::vector<std::optional<Bytes>> vc(Bytes proposal);
 
-  /// Snapshot of the stack's counters (taken on the reactor).
+  /// Snapshot of the stack's counters (taken on the reactor), including
+  /// the frames the group mux dropped before the stack saw them.
   Metrics metrics();
-  net::TcpTransport::Stats transport_stats() const {
-    return transport_->stats();
-  }
+  net::TcpTransport::Stats transport_stats() const { return runtime_.transport_stats(); }
   /// Execution-pipeline counters: frame handoffs into the reactor rings
   /// and per-reactor queue depths. All-zero (empty depths) in inline mode.
-  ReactorPool::Stats pipeline_stats() const {
-    return pool_ ? pool_->stats() : ReactorPool::Stats{};
-  }
+  ReactorPool::Stats pipeline_stats() const { return runtime_.pipeline_stats(); }
   /// Per-peer channel health (self entry reads kUp).
-  std::vector<LinkState> link_states() const {
-    return transport_->link_states();
-  }
+  std::vector<LinkState> link_states() const { return runtime_.link_states(); }
   /// The underlying transport — fault injection (kill_link) and
   /// link-level probes for tests and operational tooling.
-  net::TcpTransport& transport() { return *transport_; }
-  ProcessId self() const { return opts_.self; }
-  std::uint32_t n() const { return opts_.n; }
+  net::TcpTransport& transport() { return runtime_.transport(); }
+  ProcessId self() const { return runtime_.config().self; }
+  std::uint32_t n() const { return runtime_.config().n; }
 
  private:
   template <typename T>
@@ -195,35 +163,20 @@ class Context {
     T pop() {
       std::unique_lock<std::mutex> lock(m_);
       cv_.wait(lock, [this] { return !q_.empty() || closed_; });
-      if (q_.empty()) throw ShutdownError();
-      T v = std::move(q_.front());
-      q_.pop_front();
-      return v;
+      return *take_locked();
     }
     /// Non-blocking: nullopt when nothing is queued. Throws ShutdownError
     /// only once the queue is closed *and* drained.
     std::optional<T> try_pop() {
       std::lock_guard<std::mutex> lock(m_);
-      if (q_.empty()) {
-        if (closed_) throw ShutdownError();
-        return std::nullopt;
-      }
-      T v = std::move(q_.front());
-      q_.pop_front();
-      return v;
+      return take_locked();
     }
     /// Blocks up to `timeout`; nullopt on timeout, ShutdownError when
     /// closed and drained.
     std::optional<T> pop_for(std::chrono::milliseconds timeout) {
       std::unique_lock<std::mutex> lock(m_);
       cv_.wait_for(lock, timeout, [this] { return !q_.empty() || closed_; });
-      if (q_.empty()) {
-        if (closed_) throw ShutdownError();
-        return std::nullopt;
-      }
-      T v = std::move(q_.front());
-      q_.pop_front();
-      return v;
+      return take_locked();
     }
     void close() {
       {
@@ -234,15 +187,25 @@ class Context {
     }
 
    private:
+    std::optional<T> take_locked() {
+      if (q_.empty()) {
+        if (closed_) throw ShutdownError();
+        return std::nullopt;
+      }
+      T v = std::move(q_.front());
+      q_.pop_front();
+      return v;
+    }
+
     std::mutex m_;
     std::condition_variable cv_;
     std::deque<T> q_;
     bool closed_ = false;
   };
 
-  void reactor_loop();
   /// Runs fn on the reactor thread and waits for it (fn must not block).
   void run_on_reactor(std::function<void()> fn);
+  ProtocolStack& stack() { return runtime_.stack(group_); }
   static std::uint64_t bcast_seq(ProcessId origin, std::uint64_t k) {
     return (static_cast<std::uint64_t>(origin) << 32) | k;
   }
@@ -251,19 +214,9 @@ class Context {
   void on_bcast_deliver(ProtocolType type, ProcessId origin, std::uint64_t k,
                         Bytes payload);
 
-  Options opts_;
-  KeyChain keys_;
-  std::unique_ptr<net::TcpTransport> transport_;
-  std::unique_ptr<ProtocolStack> stack_;
-  /// Non-null iff reactor_threads > 0: protocol work runs on the pool
-  /// (group pinned to reactor 0) and reactor_loop() is poll-only. Null =
-  /// the original single-thread path, untouched.
-  std::unique_ptr<ReactorPool> pool_;
-
-  std::thread reactor_;
-  std::atomic<bool> running_{false};
-  std::mutex tasks_mutex_;
-  std::deque<std::function<void()>> tasks_;
+  const GroupId group_;
+  const std::uint32_t recv_window_;
+  NodeRuntime runtime_;
 
   // Reactor-owned protocol state. Broadcast-window roots are destroyed
   // once delivered (deferred to a safe point — never inside their own

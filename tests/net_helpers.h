@@ -18,15 +18,20 @@
 
 namespace ritas::test {
 
-/// Reserves `count` distinct free TCP ports by binding to port 0. The
-/// sockets are closed before returning, so a race with other processes is
-/// possible but vanishingly rare in this environment.
+/// Reserves `count` distinct free TCP ports by binding to port 0. Each
+/// reservation stays bound (SO_REUSEADDR, never listening) until the
+/// process exits: the kernel then gives the port to no other bind(0) and
+/// to no outgoing connect — in this process or in a test running next to
+/// it — while the transport under test can still bind its SO_REUSEADDR
+/// listener there. A reservation closed before its owner binds could be
+/// taken by a concurrent test.
 inline std::vector<std::uint16_t> free_ports(std::size_t count) {
-  std::vector<int> fds;
   std::vector<std::uint16_t> ports;
   for (std::size_t i = 0; i < count; ++i) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) throw std::runtime_error("socket() failed");
+    int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -38,9 +43,7 @@ inline std::vector<std::uint16_t> free_ports(std::size_t count) {
     socklen_t len = sizeof(addr);
     ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
     ports.push_back(ntohs(addr.sin_port));
-    fds.push_back(fd);
   }
-  for (int fd : fds) ::close(fd);
   return ports;
 }
 

@@ -1,22 +1,30 @@
 // Public-API edge cases: Context lifecycle (stop wakes blocked receivers,
-// idempotent stop, errors after stop), the delivered-root garbage
-// collection behind rb/eb windows, and C-API buffer-size corners.
+// idempotent stop, errors after stop, service calls racing stop), the
+// delivered-root garbage collection behind rb/eb windows, the shared
+// option validation of both node-runtime fronts, drop accounting for
+// Byzantine frames, and C-API buffer-size corners.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstring>
+#include <functional>
 #include <thread>
 
+#include "core/message.h"
 #include "net_helpers.h"
 #include "ritas/context.h"
 #include "ritas/ritas_c.h"
+#include "ritas/sharded_node.h"
 
 namespace ritas {
 namespace {
 
 using test::free_ports;
 using test::local_peers;
+using test::RawPeer;
 
-std::vector<std::unique_ptr<Context>> make_cluster(std::uint32_t n) {
+std::vector<std::unique_ptr<Context>> make_cluster(std::uint32_t n,
+                                                   std::uint32_t reactor_threads = 0) {
   const auto peers = local_peers(free_ports(n));
   std::vector<std::unique_ptr<Context>> ctxs;
   for (std::uint32_t p = 0; p < n; ++p) {
@@ -26,6 +34,7 @@ std::vector<std::unique_ptr<Context>> make_cluster(std::uint32_t n) {
     o.peers = peers;
     o.master_secret = to_bytes("edge-master");
     o.rng_seed = 2000 + p;
+    o.reactor_threads = reactor_threads;
     ctxs.push_back(std::make_unique<Context>(o));
   }
   std::vector<std::thread> starters;
@@ -66,6 +75,55 @@ TEST(ContextLifecycle, ServiceCallAfterStopThrows) {
   cluster[2]->stop();
   EXPECT_THROW(cluster[2]->rb_bcast(to_bytes("late")), std::logic_error);
   for (auto& c : cluster) c->stop();
+}
+
+TEST(ContextLifecycle, ServiceCallRacingStopRunsOrThrows) {
+  // A service call that loses the race with stop() must either run or
+  // throw std::logic_error — never block forever on a task the stopped
+  // node will not run. The callers are detached and report through a
+  // shared counter, so a regression fails the deadline instead of hanging
+  // the test binary (the stuck Context is then leaked, not destroyed under
+  // its callers). The race is timing-dependent, so it is run a few times
+  // per execution mode.
+  constexpr int kCallers = 4;
+  struct Returned {
+    std::mutex m;
+    std::condition_variable cv;
+    int count = 0;
+  };
+  for (int trial = 0; trial < 5 && !HasFailure(); ++trial) {
+    for (std::uint32_t threads : {0u, 1u}) {
+      auto cluster = make_cluster(4, threads);
+      auto returned = std::make_shared<Returned>();
+      for (int c = 0; c < kCallers; ++c) {
+        std::thread([ctx = cluster[0].get(), returned] {
+          try {
+            for (;;) ctx->ab_bcast(to_bytes("race"));
+          } catch (const std::logic_error&) {  // the stopped-lane signal
+          }
+          {
+            std::lock_guard<std::mutex> lock(returned->m);
+            ++returned->count;
+          }
+          returned->cv.notify_all();
+        }).detach();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      cluster[0]->stop();
+      std::unique_lock<std::mutex> lock(returned->m);
+      const bool all = returned->cv.wait_for(lock, std::chrono::seconds(5), [&] {
+        return returned->count == kCallers;
+      });
+      const int blocked = kCallers - returned->count;
+      lock.unlock();
+      EXPECT_TRUE(all) << "trial " << trial << ", reactor_threads=" << threads << ": "
+                       << blocked << " caller(s) still blocked";
+      if (!all) (void)cluster[0].release();
+      for (auto& c : cluster) {
+        if (c) c->stop();
+      }
+    }
+  }
 }
 
 TEST(ContextLifecycle, DeliveredBroadcastRootsAreFreed) {
@@ -148,23 +206,147 @@ TEST(ContextOptions, NonsensicalKnobsFailFast) {
   }
   {
     auto o = base();
-    o.batch.enabled = true;
-    o.batch.max_msgs = 0;
+    o.stack.ab_batch.enabled = true;
+    o.stack.ab_batch.max_batch_msgs = 0;
     EXPECT_THROW(Context c(std::move(o)), std::invalid_argument);
   }
   {
     auto o = base();
-    o.batch.enabled = true;
-    o.batch.max_bytes = 0;
+    o.stack.ab_batch.enabled = true;
+    o.stack.ab_batch.max_batch_bytes = 0;
     EXPECT_THROW(Context c(std::move(o)), std::invalid_argument);
   }
   {
     // Zero limits are harmless while batching is off.
     auto o = base();
-    o.batch.max_msgs = 0;
-    o.batch.max_bytes = 0;
+    o.stack.ab_batch.max_batch_msgs = 0;
+    o.stack.ab_batch.max_batch_bytes = 0;
     Context c(std::move(o));
   }
+}
+
+TEST(NodeConfigValidation, BothFrontsRejectTheSameTable) {
+  // One table of inconsistent shared settings: Context and ShardedNode
+  // both reject every row with std::invalid_argument at construction,
+  // before any socket opens (neither is started).
+  struct Row {
+    const char* what;
+    std::function<void(NodeConfig&)> mutate;
+  };
+  const std::vector<Row> rows = {
+      {"n < 4", [](NodeConfig& c) { c.n = 3; c.peers.resize(3); }},
+      {"self >= n", [](NodeConfig& c) { c.self = 4; }},
+      {"peers shorter than n", [](NodeConfig& c) { c.peers.resize(3); }},
+      {"peers longer than n",
+       [](NodeConfig& c) { c.peers.push_back(net::PeerAddr{"127.0.0.1", 2}); }},
+      {"reactor_threads = 65", [](NodeConfig& c) { c.reactor_threads = 65; }},
+      {"Imbs-Raynal at n = 4",
+       [](NodeConfig& c) { c.stack.variants.rb = RbVariant::kImbsRaynal; }},
+      {"Crain with the local coin",
+       [](NodeConfig& c) {
+         c.stack.variants.bc = BcVariant::kCrain;
+         c.stack.coin_mode = CoinMode::kLocal;
+       }},
+      {"ab_batch max_batch_msgs = 0",
+       [](NodeConfig& c) {
+         c.stack.ab_batch.enabled = true;
+         c.stack.ab_batch.max_batch_msgs = 0;
+       }},
+      {"ab_batch max_batch_bytes = 0",
+       [](NodeConfig& c) {
+         c.stack.ab_batch.enabled = true;
+         c.stack.ab_batch.max_batch_bytes = 0;
+       }},
+  };
+  const auto fill = [](NodeConfig& c) {
+    c.n = 4;
+    c.self = 0;
+    c.peers = std::vector<net::PeerAddr>(4, net::PeerAddr{"127.0.0.1", 1});
+    c.master_secret = to_bytes("v");
+  };
+  for (const Row& row : rows) {
+    Context::Options co;
+    fill(co);
+    row.mutate(co);
+    EXPECT_THROW(Context{co}, std::invalid_argument) << "Context: " << row.what;
+    ShardedNode::Options so;
+    fill(so);
+    so.groups = 2;
+    row.mutate(so);
+    EXPECT_THROW(ShardedNode{so}, std::invalid_argument) << "ShardedNode: " << row.what;
+  }
+  // The untouched base is valid for both fronts.
+  Context::Options co;
+  fill(co);
+  EXPECT_NO_THROW(Context{co});
+  ShardedNode::Options so;
+  fill(so);
+  EXPECT_NO_THROW(ShardedNode{so});
+}
+
+TEST(ContextMetrics, CountsForeignGroupAndMalformedFrames) {
+  // Process 3 is a Byzantine insider (RawPeer holding the real pairwise
+  // key): it sends process 0 one well-formed frame for a group nobody
+  // here runs and one frame whose body is garbage. Both are counted drops
+  // in Context::metrics(), nothing throws, and AB among 0-2 still works.
+  const auto ports = free_ports(4);
+  const auto peers = local_peers(ports);
+  const Bytes master = to_bytes("edge-insider");
+  std::vector<std::unique_ptr<Context>> ctxs;
+  for (std::uint32_t p = 0; p < 3; ++p) {
+    Context::Options o;
+    o.n = 4;
+    o.self = p;
+    o.peers = peers;
+    o.master_secret = master;
+    o.rng_seed = 3000 + p;
+    ctxs.push_back(std::make_unique<Context>(o));
+  }
+  {
+    std::vector<std::thread> starters;
+    for (auto& c : ctxs) starters.emplace_back([&c] { c->start(); });
+    for (auto& t : starters) t.join();
+  }
+  const KeyChain insider = KeyChain::deal(master, 4, 3);
+  RawPeer peer(ports[0], 3, 0, Bytes(insider.key(0).begin(), insider.key(0).end()));
+  peer.connect();
+  ASSERT_TRUE(peer.handshake(/*nonce_d=*/0x3333));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (ctxs[0]->link_states()[3] != LinkState::kUp &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(ctxs[0]->link_states()[3], LinkState::kUp);
+
+  const Metrics before = ctxs[0]->metrics();
+  Message foreign;
+  foreign.group = 7;
+  foreign.path = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
+  foreign.tag = 1;
+  foreign.payload = Slice(to_bytes("for a group not served here"));
+  peer.send_frame(0, foreign.encode().view());
+  const Bytes garbage = {0xee, 0x01, 0x02, 0x03};
+  peer.send_frame(1, garbage);
+
+  Metrics after = before;
+  while (std::chrono::steady_clock::now() < deadline) {
+    after = ctxs[0]->metrics();
+    if (after.foreign_group_dropped > before.foreign_group_dropped &&
+        after.malformed_dropped > before.malformed_dropped) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(after.foreign_group_dropped, before.foreign_group_dropped + 1);
+  EXPECT_EQ(after.malformed_dropped, before.malformed_dropped + 1);
+
+  ctxs[1]->ab_bcast(to_bytes("still ordered"));
+  for (auto& c : ctxs) {
+    const auto got = c->ab_recv_for(std::chrono::seconds(30));
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(to_string(got->payload), "still ordered");
+  }
+  for (auto& c : ctxs) c->stop();
 }
 
 TEST(ContextLifecycle, TryRecvAndRecvForTimeout) {

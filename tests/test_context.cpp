@@ -227,8 +227,8 @@ TEST(Context, BatchedAtomicBroadcastTotalOrder) {
     o.peers = peers;
     o.master_secret = to_bytes("context-test-master");
     o.rng_seed = 1500 + p;
-    o.batch.enabled = true;
-    o.batch.max_msgs = 4;
+    o.stack.ab_batch.enabled = true;
+    o.stack.ab_batch.max_batch_msgs = 4;
     nodes.push_back(std::make_unique<Context>(o));
   }
   {

@@ -224,6 +224,12 @@ TEST(TcpTransport, StatsCountTraffic) {
   Mesh mesh(4);
   mesh.node(0).transport->send(1, to_bytes("counted"));
   ASSERT_TRUE(mesh.wait_for(1, 1));
+  // The sender bumps its counters once sendmsg() returns, which can be
+  // after the receiver has already delivered the frame.
+  ASSERT_TRUE(wait_until([&] {
+    const auto tx = mesh.node(0).transport->stats();
+    return tx.frames_sent >= 1 && tx.bytes_sent > 0;
+  }));
   EXPECT_EQ(mesh.node(0).transport->stats().frames_sent, 1u);
   EXPECT_GT(mesh.node(0).transport->stats().bytes_sent, 7u);
   EXPECT_EQ(mesh.node(1).transport->stats().frames_received, 1u);
