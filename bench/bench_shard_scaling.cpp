@@ -81,14 +81,12 @@ ScalingResult run_once(std::uint32_t groups, std::uint64_t seed) {
   o.lan.cpu_recv_ns = 2'000;
   o.lan.cpu_per_byte_ns = 1.0;
   o.lan.jitter_ns = 40'000;
-  // Every group runs the tuned production batching config (identical per
-  // group so the G sweep compares like with like; the per-group override
-  // vector is the same plumbing a deployment uses to tune shards apart).
-  AbBatchConfig batch;
-  batch.enabled = true;
-  batch.max_batch_msgs = 16;
-  batch.max_batch_bytes = 8 * 1024;
-  o.ab_batch_per_group.assign(groups, batch);
+  // Every group runs the tuned production batching config (ab_batch is a
+  // deployment-wide wire-format switch, so the G sweep compares like with
+  // like).
+  o.stack.ab_batch.enabled = true;
+  o.stack.ab_batch.max_batch_msgs = 16;
+  o.stack.ab_batch.max_batch_bytes = 8 * 1024;
   ShardedCluster c(o);
 
   const auto keys = keys_per_shard(groups);

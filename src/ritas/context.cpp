@@ -63,6 +63,10 @@ void Context::stop() {
   rb_rx_.close();
   eb_rx_.close();
   ab_rx_.close();
+  // Consensus calls still waiting for a decision throw ShutdownError: the
+  // roots that would decide are destroyed below.
+  for (auto& [id, fail] : pending_) fail();
+  pending_.clear();
   roots_.clear();
   dead_roots_.clear();
   ab_ = nullptr;
@@ -195,50 +199,60 @@ void Context::ab_subscribe(AbSubscriber fn) {
   run_on_reactor([this, f = std::move(fn)]() mutable { ab_sub_ = std::move(f); });
 }
 
-bool Context::bc(bool proposal) {
-  std::promise<bool> decided;
+template <typename T, typename Start>
+T Context::decide(ProtocolType type, std::uint64_t& calls, Start start) {
+  std::promise<T> decided;
   auto fut = decided.get_future();
-  run_on_reactor([this, proposal, &decided] {
-    const std::uint64_t k = bc_calls_++;
-    auto inst = make_bc(
-        stack(), nullptr, InstanceId::root(ProtocolType::kBinaryConsensus, k),
-        Attribution::kAgreement,
-        [&decided](bool b) { decided.set_value(b); });
-    inst->propose(proposal);
-    roots_.emplace(inst->id(), std::move(inst));
+  run_on_reactor([&] {
+    const InstanceId id = InstanceId::root(type, calls++);
+    // Until the decision arrives, stop() fails the promise instead.
+    pending_.emplace(id, [&decided] {
+      decided.set_exception(std::make_exception_ptr(ShutdownError()));
+    });
+    try {
+      roots_.emplace(id, start(id, [this, id, &decided](T v) {
+        pending_.erase(id);
+        decided.set_value(std::move(v));
+      }));
+    } catch (...) {
+      pending_.erase(id);  // the caller rethrows and its promise dies
+      throw;
+    }
   });
   return fut.get();
+}
+
+bool Context::bc(bool proposal) {
+  return decide<bool>(
+      ProtocolType::kBinaryConsensus, bc_calls_,
+      [&](const InstanceId& id, auto on_decide) {
+        auto inst = make_bc(stack(), nullptr, id, Attribution::kAgreement,
+                            std::move(on_decide));
+        inst->propose(proposal);
+        return inst;
+      });
 }
 
 std::optional<Bytes> Context::mvc(Bytes proposal) {
-  std::promise<std::optional<Bytes>> decided;
-  auto fut = decided.get_future();
-  run_on_reactor([this, &proposal, &decided] {
-    const std::uint64_t k = mvc_calls_++;
-    auto inst = std::make_unique<MultiValuedConsensus>(
-        stack(), nullptr,
-        InstanceId::root(ProtocolType::kMultiValuedConsensus, k),
-        Attribution::kAgreement,
-        [&decided](std::optional<Bytes> v) { decided.set_value(std::move(v)); });
-    inst->propose(std::move(proposal));
-    roots_.emplace(inst->id(), std::move(inst));
-  });
-  return fut.get();
+  return decide<std::optional<Bytes>>(
+      ProtocolType::kMultiValuedConsensus, mvc_calls_,
+      [&](const InstanceId& id, auto on_decide) {
+        auto inst = std::make_unique<MultiValuedConsensus>(
+            stack(), nullptr, id, Attribution::kAgreement, std::move(on_decide));
+        inst->propose(std::move(proposal));
+        return inst;
+      });
 }
 
 std::vector<std::optional<Bytes>> Context::vc(Bytes proposal) {
-  std::promise<std::vector<std::optional<Bytes>>> decided;
-  auto fut = decided.get_future();
-  run_on_reactor([this, &proposal, &decided] {
-    const std::uint64_t k = vc_calls_++;
-    auto inst = std::make_unique<VectorConsensus>(
-        stack(), nullptr, InstanceId::root(ProtocolType::kVectorConsensus, k),
-        Attribution::kAgreement,
-        [&decided](VectorConsensus::Vector v) { decided.set_value(std::move(v)); });
-    inst->propose(std::move(proposal));
-    roots_.emplace(inst->id(), std::move(inst));
-  });
-  return fut.get();
+  return decide<VectorConsensus::Vector>(
+      ProtocolType::kVectorConsensus, vc_calls_,
+      [&](const InstanceId& id, auto on_decide) {
+        auto inst = std::make_unique<VectorConsensus>(
+            stack(), nullptr, id, Attribution::kAgreement, std::move(on_decide));
+        inst->propose(std::move(proposal));
+        return inst;
+      });
 }
 
 Metrics Context::metrics() {

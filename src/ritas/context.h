@@ -18,7 +18,8 @@
 // reactor 0 of the runtime's pool (node_runtime.h has the thread map).
 // Application calls post work into that thread through the lane and block
 // on futures/queues; a call that loses a race with stop() either runs or
-// throws std::logic_error, never blocks forever.
+// throws std::logic_error, and a consensus call still waiting for its
+// decision when stop() runs throws ShutdownError — none blocks forever.
 //
 // Instance naming convention (implicit agreement across processes): the
 // k-th rb/eb broadcast by origin o is root (kRB/kEB, o<<32|k); consensus
@@ -205,6 +206,11 @@ class Context {
 
   /// Runs fn on the reactor thread and waits for it (fn must not block).
   void run_on_reactor(std::function<void()> fn);
+  /// Starts consensus root `type`/`calls++` on the reactor via
+  /// `start(id, on_decide)` and blocks for its decision (ShutdownError if
+  /// stop() comes first).
+  template <typename T, typename Start>
+  T decide(ProtocolType type, std::uint64_t& calls, Start start);
   ProtocolStack& stack() { return runtime_.stack(group_); }
   static std::uint64_t bcast_seq(ProcessId origin, std::uint64_t k) {
     return (static_cast<std::uint64_t>(origin) << 32) | k;
@@ -229,6 +235,9 @@ class Context {
   std::vector<std::uint64_t> rb_delivered_, eb_delivered_;
   std::uint64_t rb_sent_ = 0, eb_sent_ = 0;
   std::uint64_t bc_calls_ = 0, mvc_calls_ = 0, vc_calls_ = 0;
+  /// Undecided consensus calls: fails the caller's promise. Erased on the
+  /// decision; run by stop() (after the reactor joined) for the rest.
+  std::map<InstanceId, std::function<void()>> pending_;
 
   BlockingQueue<Delivery> rb_rx_, eb_rx_;
   BlockingQueue<AbDelivery> ab_rx_;

@@ -77,7 +77,7 @@ NodeRuntime::NodeRuntime(const NodeConfig& cfg, GroupId first_group,
     std::random_device rd;
     seed = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
   }
-  // Same per-(process, group) derivation as sim::ShardedCluster, so a
+  // Same per-(process, group) derivation as sim::Cluster, so a
   // fixed-seed TCP run draws the same per-stack randomness streams.
   const std::uint64_t base = splitmix64(seed);
   stacks_.reserve(groups);

@@ -26,7 +26,7 @@ ShardedNode::ShardedNode(Options opts)
   service_ = std::make_unique<smr::ShardedService>(sc, factory);
 
   // AB roots: the SAME root id at every process and every group — the
-  // GroupId prefix is the wire-level separator (see sim::ShardedCluster).
+  // GroupId prefix is the wire-level separator (see sim::Cluster).
   const InstanceId ab_root = InstanceId::root(ProtocolType::kAtomicBroadcast, 0);
   for (GroupId g = 0; g < opts.groups; ++g) {
     abs_.push_back(std::make_unique<AtomicBroadcast>(

@@ -1,10 +1,10 @@
 // ShardedNode — one process of a real-TCP sharded SMR deployment, run
 // through the multi-core execution pipeline.
 //
-// The TCP twin of sim::ShardedCluster's per-process wiring, plus the
-// pipeline: one TcpTransport (shared mesh), G ProtocolStacks (one per
-// group = shard) demultiplexed by a GroupMux, one AtomicBroadcast root
-// per group feeding one smr::ShardedService. With reactor_threads > 0
+// The TCP twin of sim::Cluster's per-host wiring with sim::ShardedCluster's
+// SMR layer on top, plus the pipeline: one TcpTransport (shared mesh), G
+// ProtocolStacks (one per group = shard) demultiplexed by a GroupMux, one
+// AtomicBroadcast root per group feeding one smr::ShardedService. With reactor_threads > 0
 // the mux hands each frame to the ReactorPool and the service's G groups
 // are pinned across the T reactors (Options::pinning, default g % T).
 // reactor_threads = 0 (default) reproduces the single-thread path: a poll

@@ -8,10 +8,13 @@ namespace ritas::sim {
 
 Cluster::Cluster(ClusterOptions opts) : opts_(std::move(opts)) {
   const std::uint32_t n = opts_.n;
+  const std::uint32_t groups = opts_.groups;
+  if (groups == 0) throw std::invalid_argument("Cluster: groups == 0");
   net_ = std::make_unique<SimNetwork>(sched_, opts_.lan, n,
                                       opts_.seed ^ 0xabcdef12345678ULL);
 
-  // Trusted-dealer key distribution (out of band, as in the paper).
+  // Trusted-dealer key distribution (out of band, as in the paper), one
+  // keychain per host, shared by its groups (see header).
   Writer master;
   master.str("ritas-sim-master");
   master.u64(opts_.seed);
@@ -26,29 +29,37 @@ Cluster::Cluster(ClusterOptions opts) : opts_(std::move(opts)) {
     adversaries_[p] = opts_.adversary_factory();
   }
 
-  stacks_.reserve(n);
+  std::uint64_t s = opts_.seed;
+  const std::uint64_t base = splitmix64(s);
+  stacks_.reserve(static_cast<std::size_t>(n) * groups);
+  if (opts_.trace) tracers_.reserve(static_cast<std::size_t>(n) * groups);
+  muxes_.reserve(n);
   roots_.resize(n);
   for (ProcessId p = 0; p < n; ++p) {
-    StackConfig cfg = opts_.stack;
-    cfg.n = n;
-    cfg.self = p;
-    std::uint64_t s = opts_.seed;
-    const std::uint64_t proc_seed = splitmix64(s) ^ (0x1000 + p);
-    stacks_.push_back(std::make_unique<ProtocolStack>(
-        cfg, net_->transport(p), keys_[p], proc_seed, adversaries_[p].get()));
-  }
-
-  if (opts_.trace) {
-    tracers_.reserve(n);
-    for (ProcessId p = 0; p < n; ++p) {
-      tracers_.push_back(std::make_unique<Tracer>(p));
-      stacks_[p]->set_tracer(tracers_[p].get());
-      net_->set_tracer(p, tracers_[p].get());
+    muxes_.push_back(std::make_unique<GroupMux>());
+    for (GroupId g = 0; g < groups; ++g) {
+      StackConfig cfg = opts_.stack;
+      cfg.n = n;
+      cfg.self = p;
+      cfg.group = g;
+      const std::uint64_t proc_seed =
+          base ^ (0x1000 + p) ^
+          (static_cast<std::uint64_t>(g) * 0x9e3779b97f4a7c15ULL);
+      stacks_.push_back(std::make_unique<ProtocolStack>(
+          cfg, net_->transport(p), keys_[p], proc_seed, adversaries_[p].get()));
+      muxes_[p]->attach(g, *stacks_.back());
+      if (opts_.trace) {
+        tracers_.push_back(std::make_unique<Tracer>(p));
+        stacks_.back()->set_tracer(tracers_.back().get());
+      }
     }
+    if (opts_.trace) net_->set_tracer(p, tracer(p, 0));
   }
 
+  // Inbound demux: the shared mesh delivers host-to-host; the mux peeks
+  // the GroupId prefix and routes to the owning stack.
   net_->set_deliver([this](ProcessId from, ProcessId to, Slice frame) {
-    stacks_[to]->on_packet(from, std::move(frame));
+    muxes_[to]->on_packet(from, std::move(frame));
   });
 
   for (ProcessId p : opts_.crashed) {
@@ -83,16 +94,17 @@ bool Cluster::run_until(const std::function<bool()>& done, Time deadline) {
   return sched_.run_until(done, deadline);
 }
 
-std::vector<const Tracer*> Cluster::tracers() const {
+std::vector<const Tracer*> Cluster::tracers(GroupId g) const {
   std::vector<const Tracer*> out;
-  out.reserve(tracers_.size());
-  for (const auto& t : tracers_) out.push_back(t.get());
+  if (tracers_.empty()) return out;
+  out.reserve(opts_.n);
+  for (ProcessId p = 0; p < opts_.n; ++p) out.push_back(tracers_[at(p, g)].get());
   return out;
 }
 
-Bytes Cluster::trace_bytes() const {
+Bytes Cluster::trace_bytes(GroupId g) const {
   Bytes out;
-  for (const auto& t : tracers_) append(out, t->encode());
+  for (const Tracer* t : tracers(g)) append(out, t->encode());
   return out;
 }
 
@@ -100,10 +112,22 @@ std::string Cluster::chrome_trace_json() const {
   return ritas::chrome_trace_json(tracers());
 }
 
-Metrics Cluster::total_metrics() const {
+Metrics Cluster::group_metrics(GroupId g) const {
   Metrics total;
   for (ProcessId p = 0; p < opts_.n; ++p) {
-    if (!crashed(p)) total += stacks_[p]->metrics();
+    if (!crashed(p)) total += stacks_[at(p, g)]->metrics();
+  }
+  return total;
+}
+
+Metrics Cluster::total_metrics() const {
+  Metrics total;
+  for (GroupId g = 0; g < opts_.groups; ++g) total += group_metrics(g);
+  for (ProcessId p = 0; p < opts_.n; ++p) {
+    if (crashed(p)) continue;
+    // The mux sees foreign-group and unparsable frames before any stack.
+    total.malformed_dropped += muxes_[p]->malformed_dropped();
+    total.foreign_group_dropped += muxes_[p]->foreign_dropped();
   }
   return total;
 }

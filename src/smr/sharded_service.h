@@ -12,7 +12,8 @@
 //     front are FORWARDED to the owner, never dropped — the `forwarded`
 //     counter audits how often clients guessed wrong.
 //   * framing — commands carry (client, seq) for exactly-once semantics,
-//     shared with the single-group Replica via ExactlyOnceApplier.
+//     enforced per shard by an ExactlyOnceApplier. G = 1 is plain
+//     single-group state machine replication.
 //   * applying — `on_delivered(shard, bytes)` feeds shard s's decided
 //     command stream to shard s's applier. A command whose routing key
 //     does NOT belong to the delivering shard (a Byzantine replica
@@ -22,9 +23,10 @@
 //     (each key lives in exactly one shard) holds.
 //
 // The service is transport-agnostic: it never touches a stack directly.
-// Harnesses (sim::ShardedCluster, the TCP Context, examples) bind a
-// submitter that places a framed command on shard s's atomic broadcast
-// and call on_delivered from the per-shard AB deliver callback.
+// Harnesses (sim::ShardedCluster, ritas::ShardedNode, the TCP Context in
+// examples) bind a submitter that places a framed command on shard s's
+// atomic broadcast and call on_delivered from the per-shard AB deliver
+// callback.
 //
 // Threading follows the stacks it serves. In the single-thread and sim
 // harnesses everything runs on one loop. Under the multi-core pipeline

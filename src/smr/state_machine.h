@@ -3,9 +3,9 @@
 // The paper's opening argument for consensus is its equivalence to state
 // machine replication [Schneider '90, cited as 23]. This module is the
 // application-facing half of that equivalence: implement a deterministic
-// `StateMachine`, hand it to a `Replica`, and the RITAS atomic broadcast
-// keeps every correct replica's state identical — even with f Byzantine
-// replicas in the group.
+// `StateMachine`, hand its factory to a `ShardedService` (G = 1 for one
+// group), and the RITAS atomic broadcast keeps every correct replica's
+// state identical — even with f Byzantine replicas in the group.
 #pragma once
 
 #include "common/bytes.h"

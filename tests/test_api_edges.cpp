@@ -8,6 +8,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <functional>
+#include <mutex>
 #include <thread>
 
 #include "core/message.h"
@@ -123,6 +124,58 @@ TEST(ContextLifecycle, ServiceCallRacingStopRunsOrThrows) {
         if (c) c->stop();
       }
     }
+  }
+}
+
+TEST(ContextLifecycle, StopFailsPendingDecisionWithShutdownError) {
+  // A consensus call still waiting for its decision when stop() runs must
+  // throw ShutdownError: stop() destroys the instance that would decide.
+  // Only node 0 proposes, so the binary consensus cannot decide (it needs
+  // n - f proposals). The caller is detached and reports through shared
+  // state, so a regression fails the deadline instead of hanging the test
+  // binary (the stuck Context is then leaked, not destroyed under it).
+  struct Outcome {
+    std::mutex m;
+    std::condition_variable cv;
+    bool returned = false;
+    bool shutdown = false;
+  };
+  auto cluster = make_cluster(4);
+  auto out = std::make_shared<Outcome>();
+  const std::uint64_t sent_before = cluster[0]->metrics().msgs_sent;
+  std::thread([ctx = cluster[0].get(), out] {
+    bool shutdown = false;
+    try {
+      (void)ctx->bc(true);
+    } catch (const ShutdownError&) {
+      shutdown = true;
+    } catch (...) {
+    }
+    {
+      std::lock_guard<std::mutex> lock(out->m);
+      out->returned = true;
+      out->shutdown = shutdown;
+    }
+    out->cv.notify_all();
+  }).detach();
+  // The proposal on the wire means bc() is past the task lane and waiting
+  // for the decision.
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (cluster[0]->metrics().msgs_sent == sent_before &&
+         std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GT(cluster[0]->metrics().msgs_sent, sent_before);
+  cluster[0]->stop();
+  std::unique_lock<std::mutex> lock(out->m);
+  const bool returned = out->cv.wait_for(lock, std::chrono::seconds(5),
+                                         [&] { return out->returned; });
+  EXPECT_TRUE(returned) << "bc() still blocked 5 s after stop()";
+  EXPECT_TRUE(out->shutdown);
+  lock.unlock();
+  if (!returned) (void)cluster[0].release();
+  for (auto& c : cluster) {
+    if (c) c->stop();
   }
 }
 

@@ -1,6 +1,7 @@
-// State machine replication over the stack: exactly-once application,
-// cross-replica consistency under every faultload, deterministic results.
-#include "smr/replica.h"
+// State machine replication over the stack at G = 1: exactly-once
+// application, cross-replica consistency under every faultload,
+// deterministic results.
+#include "sim/sharded.h"
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,6 @@
 namespace ritas::smr {
 namespace {
 
-using test::Cluster;
 using test::fast_lan;
 using test::kDeadline;
 
@@ -48,146 +48,119 @@ Bytes add_cmd(std::uint64_t x) {
   return std::move(w).take();
 }
 
-struct Fixture {
-  std::vector<std::unique_ptr<CounterMachine>> machines;
-  std::vector<std::unique_ptr<Replica>> replicas;
+sim::ShardedClusterOptions counter_cluster(std::uint64_t seed) {
+  sim::ShardedClusterOptions o;
+  static_cast<test::ClusterOptions&>(o) = fast_lan(4, seed);
+  o.machine_factory = [](ShardId) -> std::unique_ptr<StateMachine> {
+    return std::make_unique<CounterMachine>();
+  };
+  return o;
+}
 
-  Fixture(Cluster& c) {
-    const InstanceId id = InstanceId::root(ProtocolType::kAtomicBroadcast, 7);
-    machines.resize(c.n());
-    replicas.resize(c.n());
-    for (ProcessId p : c.live()) {
-      machines[p] = std::make_unique<CounterMachine>();
-      replicas[p] = std::make_unique<Replica>(c.stack(p), id, *machines[p]);
-      c.stack(p).pump();
-    }
-  }
-  bool all_applied(Cluster& c, std::uint64_t k) const {
-    for (ProcessId p : c.correct_set()) {
-      if (replicas[p]->applied_count() < k) return false;
-    }
-    return true;
-  }
-};
+std::uint64_t value(sim::ShardedCluster& c, ProcessId p) {
+  return static_cast<const CounterMachine&>(c.service(p).machine(0)).value();
+}
 
 TEST(Smr, ReplicasConvergeToSameState) {
-  Cluster c(fast_lan(4, 1));
-  Fixture f(c);
+  sim::ShardedCluster c(counter_cluster(1));
   for (std::uint64_t i = 1; i <= 8; ++i) {
-    const ProcessId via = static_cast<ProcessId>(i % 4);
-    c.call(via, [&, i] { f.replicas[via]->submit(/*client=*/1, i, add_cmd(i)); });
+    c.submit(static_cast<ProcessId>(i % 4), /*client=*/1, i, add_cmd(i));
   }
-  ASSERT_TRUE(c.run_until([&] { return f.all_applied(c, 8); }, kDeadline));
+  ASSERT_TRUE(c.run_until([&] { return c.all_applied_at_least(8); }, kDeadline));
   // 1+2+...+8 = 36, identical everywhere.
   for (ProcessId p : c.live()) {
-    EXPECT_EQ(f.machines[p]->value(), 36u);
-    EXPECT_EQ(f.machines[p]->snapshot(), f.machines[0]->snapshot());
+    EXPECT_EQ(value(c, p), 36u);
+    EXPECT_EQ(c.service(p).snapshot(0), c.service(0).snapshot(0));
   }
 }
 
 TEST(Smr, DuplicateSubmissionsApplyOnce) {
-  Cluster c(fast_lan(4, 2));
-  Fixture f(c);
+  sim::ShardedCluster c(counter_cluster(2));
   // The same request (client 9, seq 1) retried through THREE replicas.
-  for (ProcessId via : {0u, 1u, 2u}) {
-    c.call(via, [&, via] { f.replicas[via]->submit(9, 1, add_cmd(100)); });
-  }
-  ASSERT_TRUE(c.run_until([&] { return f.all_applied(c, 1); }, kDeadline));
+  for (ProcessId via : {0u, 1u, 2u}) c.submit(via, 9, 1, add_cmd(100));
+  ASSERT_TRUE(c.run_until([&] { return c.all_applied_at_least(1); }, kDeadline));
   c.run_all();
   for (ProcessId p : c.live()) {
-    EXPECT_EQ(f.machines[p]->value(), 100u) << "applied more than once at p" << p;
-    EXPECT_EQ(f.replicas[p]->duplicates_skipped(), 2u);
+    EXPECT_EQ(value(c, p), 100u) << "applied more than once at p" << p;
+    EXPECT_EQ(c.service(p).duplicates_skipped(0), 2u);
   }
 }
 
 TEST(Smr, ResultsReportedToSubmittingReplica) {
-  Cluster c(fast_lan(4, 3));
-  Fixture f(c);
+  sim::ShardedCluster c(counter_cluster(3));
   std::map<std::uint64_t, std::uint64_t> results;  // seq -> counter value
-  f.replicas[0]->set_on_applied(
-      [&results](std::uint64_t, std::uint64_t seq, const Bytes& result) {
+  c.service(0).set_on_applied(
+      [&results](ShardId, std::uint64_t, std::uint64_t seq, const Bytes& result) {
         Reader r(result);
         results[seq] = r.u64();
       });
-  c.call(0, [&] {
-    f.replicas[0]->submit(5, 1, add_cmd(10));
-    f.replicas[0]->submit(5, 2, add_cmd(20));
-  });
-  ASSERT_TRUE(c.run_until([&] { return f.all_applied(c, 2); }, kDeadline));
+  c.submit(0, 5, 1, add_cmd(10));
+  c.submit(0, 5, 2, add_cmd(20));
+  ASSERT_TRUE(c.run_until([&] { return c.all_applied_at_least(2); }, kDeadline));
   EXPECT_EQ(results[1], 10u);
   EXPECT_EQ(results[2], 30u);
 }
 
 TEST(Smr, ConsistentUnderByzantineReplica) {
-  test::ClusterOptions o = fast_lan(4, 4);
+  sim::ShardedClusterOptions o = counter_cluster(4);
   o.byzantine = {2};
-  Cluster c(o);
-  Fixture f(c);
+  sim::ShardedCluster c(o);
   for (std::uint64_t i = 1; i <= 6; ++i) {
-    const ProcessId via = static_cast<ProcessId>(i % 4);  // includes the attacker
-    c.call(via, [&, via, i] { f.replicas[via]->submit(1, i, add_cmd(i)); });
+    // Includes the attacker as a front.
+    c.submit(static_cast<ProcessId>(i % 4), 1, i, add_cmd(i));
   }
-  ASSERT_TRUE(c.run_until([&] { return f.all_applied(c, 6); }, kDeadline));
+  ASSERT_TRUE(c.run_until([&] { return c.all_applied_at_least(6); }, kDeadline));
   for (ProcessId p : c.correct_set()) {
-    EXPECT_EQ(f.machines[p]->value(), 21u);
+    EXPECT_EQ(value(c, p), 21u);
   }
 }
 
 TEST(Smr, ConsistentUnderCrash) {
-  test::ClusterOptions o = fast_lan(4, 5);
+  sim::ShardedClusterOptions o = counter_cluster(5);
   o.crashed = {3};
-  Cluster c(o);
-  Fixture f(c);
+  sim::ShardedCluster c(o);
   for (std::uint64_t i = 1; i <= 6; ++i) {
-    const ProcessId via = static_cast<ProcessId>(i % 3);
-    c.call(via, [&, via, i] { f.replicas[via]->submit(1, i, add_cmd(1)); });
+    c.submit(static_cast<ProcessId>(i % 3), 1, i, add_cmd(1));
   }
-  ASSERT_TRUE(c.run_until([&] { return f.all_applied(c, 6); }, kDeadline));
+  ASSERT_TRUE(c.run_until([&] { return c.all_applied_at_least(6); }, kDeadline));
   for (ProcessId p : c.correct_set()) {
-    EXPECT_EQ(f.machines[p]->value(), 6u);
+    EXPECT_EQ(value(c, p), 6u);
   }
 }
 
 TEST(Smr, JunkOperationHandledDeterministically) {
-  Cluster c(fast_lan(4, 6));
-  Fixture f(c);
+  sim::ShardedCluster c(counter_cluster(6));
   // A buggy or Byzantine client submits an operation the machine cannot
   // parse; every replica applies the same deterministic "err" no-op and
   // states stay equal.
-  c.call(1, [&] { f.replicas[1]->submit(4, 1, to_bytes("junk-op")); });
-  c.call(0, [&] { f.replicas[0]->submit(4, 2, add_cmd(5)); });
-  ASSERT_TRUE(c.run_until([&] { return f.all_applied(c, 2); }, kDeadline));
+  c.submit(1, 4, 1, to_bytes("junk-op"));
+  c.submit(0, 4, 2, add_cmd(5));
+  ASSERT_TRUE(c.run_until([&] { return c.all_applied_at_least(2); }, kDeadline));
   for (ProcessId p : c.live()) {
-    EXPECT_EQ(f.machines[p]->value(), 5u);
-    EXPECT_EQ(f.machines[p]->snapshot(), f.machines[0]->snapshot());
+    EXPECT_EQ(value(c, p), 5u);
+    EXPECT_EQ(c.service(p).snapshot(0), c.service(0).snapshot(0));
   }
 }
 
 TEST(Smr, InterleavedClientsKeepPerClientExactlyOnce) {
-  Cluster c(fast_lan(4, 7));
-  Fixture f(c);
+  sim::ShardedCluster c(counter_cluster(7));
   // Three clients, interleaved seqs, some duplicated through two replicas.
   for (std::uint64_t client : {10u, 20u, 30u}) {
     for (std::uint64_t seq = 1; seq <= 4; ++seq) {
       const ProcessId via = static_cast<ProcessId>((client + seq) % 4);
-      c.call(via, [&, via, client, seq] {
-        f.replicas[via]->submit(client, seq, add_cmd(client + seq));
-      });
+      c.submit(via, client, seq, add_cmd(client + seq));
       if (seq % 2 == 0) {  // duplicate the even ones elsewhere
-        const ProcessId via2 = static_cast<ProcessId>((via + 1) % 4);
-        c.call(via2, [&, via2, client, seq] {
-          f.replicas[via2]->submit(client, seq, add_cmd(client + seq));
-        });
+        c.submit((via + 1) % 4, client, seq, add_cmd(client + seq));
       }
     }
   }
   // 12 unique commands; sum = sum over clients of (4*client + 10).
   const std::uint64_t expected = (4 * 10 + 10) + (4 * 20 + 10) + (4 * 30 + 10);
-  ASSERT_TRUE(c.run_until([&] { return f.all_applied(c, 12); }, kDeadline));
+  ASSERT_TRUE(c.run_until([&] { return c.all_applied_at_least(12); }, kDeadline));
   c.run_all();
   for (ProcessId p : c.live()) {
-    EXPECT_EQ(f.machines[p]->value(), expected);
-    EXPECT_EQ(f.replicas[p]->applied_count(), 12u);
+    EXPECT_EQ(value(c, p), expected);
+    EXPECT_EQ(c.service(p).applied_count(0), 12u);
   }
 }
 

@@ -26,12 +26,16 @@ bench-smoke, currently 3). Two headline figures are gated:
     tolerance above baseline. Message counts per instance are exact on the
     deterministic simulator, so they are compared exactly.
   * scaling_wan campaign     — BENCH_scaling_wan.json, the open-loop
-    n-scaling battery. Virtual-time rows only: per (n, net, fault) cell
-    (intersection with baseline, so a trimmed RITAS_SCALING_SMOKE run is
-    checked against the same rows of a full-sweep baseline) completed and
-    ordered must be true, every offered op must have been delivered, and
-    the p50/p99/p999 delivery tails must not grow more than the tolerance
-    above baseline.
+    n-scaling battery. Virtual-time rows only. The artifact must carry
+    bench/meta/rows and every row the full field schema; every cell must
+    be completed and ordered with every offered op delivered and a
+    monotone tail p50 <= p99 <= p999 <= max; the cell set must be exactly
+    the RITAS_SCALING_SMOKE=1 matrix (n in {4, 7} x {lan, wan} x {none,
+    churn, byzantine}); WAN p99 must not fall below LAN p99 for any
+    (n, fault). Per (n, net, fault) cell shared with the baseline (so the
+    trimmed smoke run is checked against the same rows of a full-sweep
+    baseline) the p50/p99/p999 delivery tails must not grow more than the
+    tolerance above baseline.
   * execution pipeline       — BENCH_pipeline.json is the one REAL-TIME
     artifact: absolute ops/s depend on the host, so the fresh run is
     checked against its own in-binary gates instead of baseline numbers.
@@ -291,34 +295,71 @@ def check_pipeline(out_dir: Path, base_dir: Path, tol: float) -> list:
     return failures
 
 
-def check_scaling_wan(out_dir: Path, base_dir: Path, tol: float) -> list:
-    """Open-loop campaign cells: liveness/order exact, tails within tol.
+SCALING_FIELDS = ("n", "net", "fault", "seed", "ops", "ops_completed",
+                  "completed", "ordered", "p50_ns", "p99_ns", "p999_ns",
+                  "mean_ns", "max_ns", "backlog_peak", "elapsed_ns",
+                  "retransmissions", "fingerprint")
+# The RITAS_SCALING_SMOKE=1 subset: n in {4, 7} x {lan, wan} x all faults.
+SCALING_FAULTS = ("none", "churn", "byzantine")
+SCALING_SMOKE_CELLS = {(n, net, fault) for n in (4, 7)
+                       for net in ("lan", "wan") for fault in SCALING_FAULTS}
 
-    Keys are intersected so a trimmed smoke sweep (RITAS_SCALING_SMOKE=1)
-    validates against the full-sweep baseline: per-cell seeds derive from
-    the (n, net, fault) key, so shared rows are the same virtual runs.
+
+def check_scaling_wan(out_dir: Path, base_dir: Path, tol: float) -> list:
+    """Smoke campaign cells (RITAS_SCALING_SMOKE=1): schema, liveness/order
+    and tail shape exact, cell set exactly the smoke matrix, WAN tail above
+    LAN, tails within tol.
+
+    Keys are intersected so the trimmed smoke sweep validates against the
+    full-sweep baseline: per-cell seeds derive from the (n, net, fault)
+    key, so shared rows are the same virtual runs.
     """
     name = "BENCH_scaling_wan.json"
     keys = ("n", "net", "fault")
-    fresh = index_rows(load(out_dir, name), keys)
+    fresh_doc = load(out_dir, name)
     base = index_rows(load(base_dir, name), keys)
-    failures = []
+    failures = [f"scaling_wan: missing top-level '{k}'"
+                for k in ("bench", "meta") if k not in fresh_doc]
+    for row in fresh_doc["rows"]:
+        missing = [k for k in SCALING_FIELDS if k not in row]
+        if missing:
+            return failures + [f"scaling_wan: row missing {missing}: {row}"]
+    fresh = index_rows(fresh_doc, keys)
+
+    if set(fresh) != SCALING_SMOKE_CELLS:
+        failures.append(f"scaling_wan: cell set {sorted(fresh)} != smoke "
+                        f"matrix {sorted(SCALING_SMOKE_CELLS)}")
+    for key, frow in sorted(fresh.items()):
+        cell = f"scaling_wan n={key[0]} {key[1]}/{key[2]}"
+        if not (frow["completed"] is True and frow["ordered"] is True):
+            failures.append(
+                f"{cell}: completed={frow['completed']} "
+                f"ordered={frow['ordered']}")
+        if frow["ops_completed"] != frow["ops"]:
+            failures.append(
+                f"{cell}: delivered {frow['ops_completed']} of "
+                f"{frow['ops']} offered ops")
+        if not (frow["p50_ns"] <= frow["p99_ns"] <= frow["p999_ns"]
+                <= frow["max_ns"]):
+            failures.append(f"{cell}: non-monotone tail p50/p99/p999/max "
+                            f"{frow['p50_ns']}/{frow['p99_ns']}/"
+                            f"{frow['p999_ns']}/{frow['max_ns']}")
+    # WAN must dominate LAN at the tail for every (n, fault) pair.
+    for n in sorted({key[0] for key in fresh}):
+        for fault in SCALING_FAULTS:
+            lan, wan = fresh.get((n, "lan", fault)), fresh.get((n, "wan", fault))
+            if lan and wan and wan["p99_ns"] < lan["p99_ns"]:
+                failures.append(f"scaling_wan: WAN p99 {wan['p99_ns']} below "
+                                f"LAN p99 {lan['p99_ns']} at n={n} "
+                                f"fault={fault}")
 
     shared = sorted(set(fresh) & set(base))
     if not shared:
-        return [f"scaling_wan: no (n, net, fault) keys shared with baseline"]
+        return failures + [
+            "scaling_wan: no (n, net, fault) keys shared with baseline"]
     for key in shared:
         frow, brow = fresh[key], base[key]
         cell = f"scaling_wan n={key[0]} {key[1]}/{key[2]}"
-        if not (frow.get("completed") is True and frow.get("ordered") is True):
-            failures.append(
-                f"{cell}: completed={frow.get('completed')} "
-                f"ordered={frow.get('ordered')}")
-            continue
-        if frow.get("ops_completed") != frow.get("ops"):
-            failures.append(
-                f"{cell}: delivered {frow.get('ops_completed')} of "
-                f"{frow.get('ops')} offered ops")
         for field in ("p50_ns", "p99_ns", "p999_ns"):
             got, want = frow[field], brow[field]
             ceiling = want * (1.0 + tol)
@@ -329,6 +370,7 @@ def check_scaling_wan(out_dir: Path, base_dir: Path, tol: float) -> list:
                 failures.append(
                     f"{cell}: {field} {got} > ceiling {ceiling:.0f} "
                     f"(baseline {want}, tolerance {tol:.0%})")
+    print(f"{name}: {len(fresh)} rows, {len(shared)} shared with baseline")
     return failures
 
 
