@@ -4,7 +4,7 @@
 //
 // This binary runs all four nodes as threads of one process for a
 // self-contained demo; each node owns a full Context (its own sockets,
-// reactor thread, keys and protocol stack), so the same code deploys one
+// poll thread, keys and protocol stack), so the same code deploys one
 // node per host by passing each host's id and the shared peer list.
 //
 //   $ ./tcp_cluster

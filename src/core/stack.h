@@ -9,8 +9,8 @@
 //
 // Threading: a stack is single-threaded by design (the paper's stack runs
 // in one thread). All calls — on_packet, protocol API calls — must come
-// from the same thread; the TCP facade funnels everything through its
-// reactor thread, and the simulator is single-threaded anyway.
+// from the same thread; the TCP node runtime funnels everything through
+// its poll thread, and the simulator is single-threaded anyway.
 #pragma once
 
 #include <cstdint>

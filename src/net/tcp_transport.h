@@ -40,12 +40,13 @@
 // CI-gated at 0).
 //
 // Threading contract:
-//   * send() may be called from ANY number of threads concurrently (the
-//     multi-core pipeline has every reactor call it). Each link's counter
-//     assignment, frame MAC and retained-queue update happen under that
-//     link's Conn mutex, on the calling thread, so concurrent senders
-//     serialize per link: frames from one sender thread keep their
-//     relative order, and the per-link counter sequence is gap-free.
+//   * send() may be called from ANY number of threads concurrently (a
+//     node's poll thread calls it for every stack; tests call it from
+//     several threads at once). Each link's counter assignment, frame MAC
+//     and retained-queue update happen under that link's Conn mutex, on
+//     the calling thread, so concurrent senders serialize per link: frames
+//     from one sender thread keep their relative order, and the per-link
+//     counter sequence is gap-free.
 //     tests/test_tcp_transport.cpp (ConcurrentSenders*) enforces this
 //     under ASan/TSan.
 //   * Receiving, MAC verification and all link management happen in
@@ -137,7 +138,8 @@ class TcpTransport final : public Transport {
     /// bytes, more syscalls). IOV_MAX caps the iovec count independently.
     std::size_t max_batch_bytes = 256u << 10;
     /// Drive readiness with epoll where the platform has it; false forces
-    /// the portable ::poll fallback (same semantics, tests cover both).
+    /// the portable ::poll fallback (same semantics; the *OverPoll tests in
+    /// test_tcp_transport and test_net_churn run it).
     bool use_epoll = true;
   };
 

@@ -35,8 +35,8 @@ void Context::start() {
   if (runtime_.running()) return;
   runtime_.start();
   // Create the session-wide atomic broadcast root and the initial
-  // receive-side broadcast windows on the reactor.
-  run_on_reactor([this] {
+  // receive-side broadcast windows on the poll thread.
+  run_on_poll_thread([this] {
     auto ab = std::make_unique<AtomicBroadcast>(
         stack(), nullptr, InstanceId::root(ProtocolType::kAtomicBroadcast, 0),
         [this](ProcessId origin, std::uint64_t rbid, Slice payload) {
@@ -44,7 +44,7 @@ void Context::start() {
           // frames for as long as the application keeps the payload.
           AbDelivery d{origin, rbid, payload.to_bytes()};
           if (ab_sub_) {
-            ab_sub_(std::move(d));  // reactor thread; subscriber must not block
+            ab_sub_(std::move(d));  // poll thread; subscriber must not block
           } else {
             ab_rx_.push(std::move(d));
           }
@@ -57,7 +57,7 @@ void Context::start() {
 
 void Context::stop() {
   // The runtime has run every accepted task and joined its threads, so
-  // the reactor-owned state below is ours alone.
+  // the poll-thread-owned state below is ours alone.
   if (!runtime_.stop()) return;
   // Wake any threads blocked in the recv calls.
   rb_rx_.close();
@@ -72,10 +72,10 @@ void Context::stop() {
   ab_ = nullptr;
 }
 
-void Context::run_on_reactor(std::function<void()> fn) {
+void Context::run_on_poll_thread(std::function<void()> fn) {
   std::promise<void> done;
   auto fut = done.get_future();
-  // Exceptions must not unwind the reactor thread: capture and rethrow
+  // Exceptions must not unwind the poll thread: capture and rethrow
   // in the calling thread instead.
   runtime_.post(group_, [&done, f = std::move(fn)] {
     try {
@@ -132,7 +132,7 @@ void Context::on_bcast_deliver(ProtocolType type, ProcessId origin,
 }
 
 void Context::rb_bcast(Bytes payload) {
-  run_on_reactor([this, &payload] {
+  run_on_poll_thread([this, &payload] {
     const std::uint64_t k = rb_sent_++;
     const InstanceId id = InstanceId::root(ProtocolType::kReliableBroadcast,
                                            bcast_seq(self(), k));
@@ -147,7 +147,7 @@ void Context::rb_bcast(Bytes payload) {
 }
 
 void Context::eb_bcast(Bytes payload) {
-  run_on_reactor([this, &payload] {
+  run_on_poll_thread([this, &payload] {
     const std::uint64_t k = eb_sent_++;
     const InstanceId id = InstanceId::root(ProtocolType::kEchoBroadcast,
                                            bcast_seq(self(), k));
@@ -174,7 +174,7 @@ std::optional<Context::Delivery> Context::eb_recv_for(
 
 std::uint64_t Context::ab_bcast(Bytes payload) {
   std::uint64_t rbid = 0;
-  run_on_reactor([this, &payload, &rbid] { rbid = ab_->bcast(std::move(payload)); });
+  run_on_poll_thread([this, &payload, &rbid] { rbid = ab_->bcast(std::move(payload)); });
   return rbid;
 }
 
@@ -188,22 +188,22 @@ std::optional<Context::AbDelivery> Context::ab_recv_for(
 }
 
 void Context::ab_flush() {
-  run_on_reactor([this] { ab_->flush(); });
+  run_on_poll_thread([this] { ab_->flush(); });
 }
 
 void Context::ab_subscribe(AbSubscriber fn) {
   if (!runtime_.running()) {
-    ab_sub_ = std::move(fn);  // reactor not running yet; plain write is safe
+    ab_sub_ = std::move(fn);  // poll thread not running yet; plain write is safe
     return;
   }
-  run_on_reactor([this, f = std::move(fn)]() mutable { ab_sub_ = std::move(f); });
+  run_on_poll_thread([this, f = std::move(fn)]() mutable { ab_sub_ = std::move(f); });
 }
 
 template <typename T, typename Start>
 T Context::decide(ProtocolType type, std::uint64_t& calls, Start start) {
   std::promise<T> decided;
   auto fut = decided.get_future();
-  run_on_reactor([&] {
+  run_on_poll_thread([&] {
     const InstanceId id = InstanceId::root(type, calls++);
     // Until the decision arrives, stop() fails the promise instead.
     pending_.emplace(id, [&decided] {
@@ -257,7 +257,7 @@ std::vector<std::optional<Bytes>> Context::vc(Bytes proposal) {
 
 Metrics Context::metrics() {
   Metrics m;
-  run_on_reactor([this, &m] {
+  run_on_poll_thread([this, &m] {
     m = stack().metrics();
     // The mux sees foreign-group and unparsable frames before the stack.
     m.malformed_dropped += runtime_.mux().malformed_dropped();

@@ -14,8 +14,8 @@
 // which owns the mesh, the stack, the poll thread and the task lane; this
 // class adds only the session's roots, receive windows and blocking
 // queues. The protocol stack runs in a single thread, independent of the
-// application thread (§3): the poll thread, or with reactor_threads > 0
-// reactor 0 of the runtime's pool (node_runtime.h has the thread map).
+// application thread (§3): the runtime's poll thread (node_runtime.h has
+// the thread map).
 // Application calls post work into that thread through the lane and block
 // on futures/queues; a call that loses a race with stop() either runs or
 // throws std::logic_error, and a consensus call still waiting for its
@@ -56,8 +56,7 @@ class ShutdownError : public std::runtime_error {
 class Context {
  public:
   /// The shared node settings (membership, secret, seed, start quorum,
-  /// reactor_threads, the StackConfig template — see NodeConfig) plus
-  /// this front's own two.
+  /// the StackConfig template — see NodeConfig) plus this front's own two.
   struct Options : NodeConfig {
     /// Consensus group this session runs when several groups share one
     /// mesh (sharded SMR). Group 0 (default) keeps the original wire
@@ -89,7 +88,7 @@ class Context {
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
 
-  /// Establishes the TCP mesh and starts the reactor. Blocks until at
+  /// Establishes the TCP mesh and starts the poll thread. Blocks until at
   /// least Options::min_start_links links are up (default: n - f - 1, the
   /// quorum the stack needs to make progress); stragglers keep connecting
   /// in the background. Call once before any service function.
@@ -120,7 +119,7 @@ class Context {
   void ab_flush();
 
   /// Callback mode for atomic broadcast: once subscribed, deliveries are
-  /// handed to `fn` on the reactor thread (so it must not block or call
+  /// handed to `fn` on the poll thread (so it must not block or call
   /// back into the Context) instead of being queued for ab_recv().
   /// Deliveries queued before the subscription stay in the queue —
   /// drain them with ab_try_recv(). Subscribe before start() or after;
@@ -133,13 +132,10 @@ class Context {
   std::optional<Bytes> mvc(Bytes proposal);
   std::vector<std::optional<Bytes>> vc(Bytes proposal);
 
-  /// Snapshot of the stack's counters (taken on the reactor), including
+  /// Snapshot of the stack's counters (taken on the poll thread), including
   /// the frames the group mux dropped before the stack saw them.
   Metrics metrics();
   net::TcpTransport::Stats transport_stats() const { return runtime_.transport_stats(); }
-  /// Execution-pipeline counters: frame handoffs into the reactor rings
-  /// and per-reactor queue depths. All-zero (empty depths) in inline mode.
-  ReactorPool::Stats pipeline_stats() const { return runtime_.pipeline_stats(); }
   /// Per-peer channel health (self entry reads kUp).
   std::vector<LinkState> link_states() const { return runtime_.link_states(); }
   /// The underlying transport — fault injection (kill_link) and
@@ -204,9 +200,9 @@ class Context {
     bool closed_ = false;
   };
 
-  /// Runs fn on the reactor thread and waits for it (fn must not block).
-  void run_on_reactor(std::function<void()> fn);
-  /// Starts consensus root `type`/`calls++` on the reactor via
+  /// Runs fn on the poll thread and waits for it (fn must not block).
+  void run_on_poll_thread(std::function<void()> fn);
+  /// Starts consensus root `type`/`calls++` on the poll thread via
   /// `start(id, on_decide)` and blocks for its decision (ShutdownError if
   /// stop() comes first).
   template <typename T, typename Start>
@@ -215,7 +211,7 @@ class Context {
   static std::uint64_t bcast_seq(ProcessId origin, std::uint64_t k) {
     return (static_cast<std::uint64_t>(origin) << 32) | k;
   }
-  /// Maintains the pre-created receive window for rb/eb roots. Reactor only.
+  /// Maintains the pre-created receive window for rb/eb roots. Poll thread only.
   void ensure_bcast_windows();
   void on_bcast_deliver(ProtocolType type, ProcessId origin, std::uint64_t k,
                         Bytes payload);
@@ -224,7 +220,7 @@ class Context {
   const std::uint32_t recv_window_;
   NodeRuntime runtime_;
 
-  // Reactor-owned protocol state. Broadcast-window roots are destroyed
+  // Poll-thread-owned protocol state. Broadcast-window roots are destroyed
   // once delivered (deferred to a safe point — never inside their own
   // delivery callback); consensus roots stay for the session (peers may
   // still need our courtesy-round participation).
@@ -236,12 +232,12 @@ class Context {
   std::uint64_t rb_sent_ = 0, eb_sent_ = 0;
   std::uint64_t bc_calls_ = 0, mvc_calls_ = 0, vc_calls_ = 0;
   /// Undecided consensus calls: fails the caller's promise. Erased on the
-  /// decision; run by stop() (after the reactor joined) for the rest.
+  /// decision; run by stop() (after the poll thread joined) for the rest.
   std::map<InstanceId, std::function<void()>> pending_;
 
   BlockingQueue<Delivery> rb_rx_, eb_rx_;
   BlockingQueue<AbDelivery> ab_rx_;
-  /// Reactor-owned after start() (ab_subscribe posts the swap there);
+  /// Poll-thread-owned after start() (ab_subscribe posts the swap there);
   /// when set, AB deliveries bypass ab_rx_.
   AbSubscriber ab_sub_;
 };

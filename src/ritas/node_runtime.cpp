@@ -13,27 +13,18 @@ namespace {
 /// Rejects an inconsistent configuration before anything (keychain,
 /// transport, stacks) is built from it — a wrong membership must never
 /// reach the mesh layer.
-const NodeConfig& validate(const NodeConfig& c, std::uint32_t groups,
-                           const std::vector<std::uint32_t>& pinning) {
+const NodeConfig& validate(const NodeConfig& c, std::uint32_t groups) {
   const auto fail = [](const char* what) {
     throw std::invalid_argument(std::string("ritas: ") + what);
   };
   if (c.n < 4) fail("n must be >= 4 (n >= 3f+1, f >= 1)");
   if (c.self >= c.n) fail("self must be < n");
   if (c.peers.size() != c.n) fail("peers.size() must equal n");
-  if (c.reactor_threads > 64) fail("reactor_threads must be <= 64");
   const AbBatchConfig& b = c.stack.ab_batch;
   if (b.enabled && (b.max_batch_msgs == 0 || b.max_batch_bytes == 0)) {
     fail("stack.ab_batch limits must be > 0");
   }
   if (groups == 0) fail("groups must be > 0");
-  if (!pinning.empty()) {
-    if (c.reactor_threads == 0) fail("pinning needs reactor_threads > 0");
-    if (pinning.size() != groups) fail("pinning.size() must equal groups");
-    for (std::uint32_t r : pinning) {
-      if (r >= c.reactor_threads) fail("pin target out of range");
-    }
-  }
   // Unknown or incompatible protocol-variant selections fail here too
   // (the ProtocolStack constructor re-checks, but this path owns the
   // user-facing error).
@@ -44,9 +35,8 @@ const NodeConfig& validate(const NodeConfig& c, std::uint32_t groups,
 }  // namespace
 
 NodeRuntime::NodeRuntime(const NodeConfig& cfg, GroupId first_group,
-                         std::uint32_t groups,
-                         const std::vector<std::uint32_t>& pinning)
-    : cfg_(validate(cfg, groups, pinning)),
+                         std::uint32_t groups)
+    : cfg_(validate(cfg, groups)),
       first_group_(first_group),
       keys_(KeyChain::deal(cfg_.master_secret, cfg_.n, cfg_.self)) {
   net::TcpTransport::Options topts;
@@ -61,16 +51,6 @@ NodeRuntime::NodeRuntime(const NodeConfig& cfg, GroupId first_group,
                        ? 0
                        : cfg_.rng_seed ^ (0x9e3779b97f4a7c15ULL * (cfg_.self + 1));
   transport_ = std::make_unique<net::TcpTransport>(topts, keys_);
-
-  if (cfg_.reactor_threads > 0) {
-    ReactorPool::Options popts;
-    popts.threads = cfg_.reactor_threads;
-    pool_ = std::make_unique<ReactorPool>(popts);
-    for (std::uint32_t i = 0; i < groups; ++i) {
-      pool_->pin(first_group + i,
-                 pinning.empty() ? i % cfg_.reactor_threads : pinning[i]);
-    }
-  }
 
   std::uint64_t seed = cfg_.rng_seed;
   if (seed == 0) {
@@ -98,31 +78,10 @@ NodeRuntime::~NodeRuntime() { stop(); }
 
 void NodeRuntime::start() {
   if (running_.load()) return;
-  if (pool_) {
-    // One idle hook per reactor: settle exactly the groups it owns after
-    // every drain batch. Ownership never changes after start.
-    for (std::uint32_t r = 0; r < cfg_.reactor_threads; ++r) {
-      std::vector<GroupId> owned;
-      for (std::uint32_t i = 0; i < stacks_.size(); ++i) {
-        if (pool_->reactor_of(first_group_ + i) == r) owned.push_back(first_group_ + i);
-      }
-      pool_->set_idle_hook(r, [this, owned = std::move(owned)] {
-        for (GroupId g : owned) settle(g);
-      });
-    }
-    pool_->start();
-    mux_.bind_reactors(pool_.get());
-  }
   transport_->set_sink([this](ProcessId from, Slice frame) {
     mux_.on_packet(from, std::move(frame));
   });
-  try {
-    transport_->start();
-  } catch (...) {
-    // Quiesce the reactors while the fronts' state they touch still exists.
-    if (pool_) pool_->stop();
-    throw;
-  }
+  transport_->start();
   running_.store(true);
   poll_thread_ = std::thread([this] { poll_loop(); });
 }
@@ -134,9 +93,6 @@ bool NodeRuntime::stop() {
   }
   transport_->wakeup();
   if (poll_thread_.joinable()) poll_thread_.join();
-  // Poll thread gone ⇒ no new frames enter the rings; the reactors'
-  // final sweep runs every task the lane accepted before the close.
-  if (pool_) pool_->stop();
   transport_->stop();
   return true;
 }
@@ -148,19 +104,13 @@ void NodeRuntime::post(GroupId g, std::function<void()> fn) {
   };
   std::lock_guard<std::mutex> lock(lane_mutex_);
   if (!running_.load()) throw std::logic_error("ritas: node runtime is not running");
-  if (pool_) {
-    pool_->post(g, std::move(task));
-    return;
-  }
   tasks_.push_back(std::move(task));
   transport_->wakeup();
 }
 
 void NodeRuntime::poll_loop() {
-  // With a pool this thread owns only the sockets and the handoff;
-  // inline, one loop polls, runs posted tasks and settles every group.
+  // One loop polls, runs posted tasks and settles every group.
   const auto drain = [this] {
-    if (pool_) return;
     run_tasks();
     for (std::uint32_t i = 0; i < stacks_.size(); ++i) settle(first_group_ + i);
   };

@@ -1,21 +1,18 @@
 // NodeRuntime — the one node runtime under ritas::Context (one group) and
 // ritas::ShardedNode (G groups): one process's keychain, TCP mesh,
-// GroupMux, per-group ProtocolStacks, optional ReactorPool, poll thread
-// and task lane, configured by one validated NodeConfig.
+// GroupMux, per-group ProtocolStacks, poll thread and task lane,
+// configured by one validated NodeConfig.
 //
 // Thread ownership map (both fronts):
 //   poll thread   — sockets, frame MAC verify, link state machines, mux
-//                   routing; with reactor_threads = 0 also every stack,
-//                   every posted task and the safe-point hook
-//   reactor r     — (reactor_threads > 0) the stacks of the groups pinned
-//                   to r, their tasks, pumps and safe points, and the MACs
-//                   of the frames they send
-//   app threads   — post() (closable lane into the owning thread), stats
+//                   routing, every stack, every posted task and the
+//                   safe-point hook
+//   app threads   — post() (closable lane into the poll thread), stats
 //
 // The lane is closed under its mutex by stop(): a post() after the close
 // throws std::logic_error, and every task accepted before it still runs
-// (drained by the poll thread, or by the reactors' final sweep), so a
-// caller blocked on a posted task's result always returns.
+// (drained by the poll thread's last round), so a caller blocked on a
+// posted task's result always returns.
 #pragma once
 
 #include <atomic>
@@ -28,7 +25,6 @@
 #include <vector>
 
 #include "core/group_mux.h"
-#include "core/reactor.h"
 #include "core/stack.h"
 #include "crypto/keychain.h"
 #include "net/tcp_transport.h"
@@ -52,9 +48,6 @@ struct NodeConfig {
   /// the remaining links keep dialing in the background and heal through
   /// the transport's backoff/reconnect machinery.
   std::uint32_t min_start_links = 0;
-  /// Execution pipeline: 0 = the inline single-thread path (the poll
-  /// thread runs everything); T > 0 = a ReactorPool of T threads. <= 64.
-  std::uint32_t reactor_threads = 0;
   /// Template for every group's stack; n/self/group are set by the
   /// runtime. ab_batch is a wire-format switch: configure it identically
   /// at every correct process (limits must be > 0 when enabled).
@@ -63,11 +56,9 @@ struct NodeConfig {
 
 class NodeRuntime {
  public:
-  /// Hosts groups [first_group, first_group + groups). pinning[i] is the
-  /// reactor of group first_group + i (empty = i % reactor_threads).
-  /// Throws std::invalid_argument on any inconsistent setting.
-  NodeRuntime(const NodeConfig& cfg, GroupId first_group, std::uint32_t groups,
-              const std::vector<std::uint32_t>& pinning = {});
+  /// Hosts groups [first_group, first_group + groups). Throws
+  /// std::invalid_argument on any inconsistent setting.
+  NodeRuntime(const NodeConfig& cfg, GroupId first_group, std::uint32_t groups);
   ~NodeRuntime();
   NodeRuntime(const NodeRuntime&) = delete;
   NodeRuntime& operator=(const NodeRuntime&) = delete;
@@ -75,31 +66,26 @@ class NodeRuntime {
   const NodeConfig& config() const { return cfg_; }
   ProtocolStack& stack(GroupId g) { return *stacks_[g - first_group_]; }
 
-  /// Runs on group g's owning thread after every poll round / drain batch,
-  /// with no protocol call on the stack (set before start()).
+  /// Runs on the poll thread for group g after every poll round, with no
+  /// protocol call on the stack (set before start()).
   void set_safe_point(std::function<void(GroupId)> fn) { safe_point_ = std::move(fn); }
 
   /// Establishes the mesh (blocks like TcpTransport::start), then starts
-  /// the reactors and the poll thread and opens the lane.
+  /// the poll thread and opens the lane.
   void start();
   /// Closes the lane, runs every task it accepted, joins the threads and
   /// closes the sockets. True iff this call stopped a running node.
   bool stop();
   bool running() const { return running_.load(); }
 
-  /// Runs fn on the thread owning group g, then pumps g's stack. Any
-  /// thread; throws std::logic_error unless the runtime is running.
+  /// Runs fn on the poll thread, then pumps g's stack. Any thread;
+  /// throws std::logic_error unless the runtime is running.
   void post(GroupId g, std::function<void()> fn);
 
   net::TcpTransport& transport() { return *transport_; }
   net::TcpTransport::Stats transport_stats() const { return transport_->stats(); }
   /// Per-peer channel health (self entry reads kUp).
   std::vector<LinkState> link_states() const { return transport_->link_states(); }
-  /// Handoff counters and per-reactor ring depths; all-zero when inline.
-  ReactorPool::Stats pipeline_stats() const {
-    return pool_ ? pool_->stats() : ReactorPool::Stats{};
-  }
-  std::uint32_t reactor_of(GroupId g) const { return pool_ ? pool_->reactor_of(g) : 0; }
   /// Frames dropped by the mux before any stack saw them (any thread).
   const GroupMux& mux() const { return mux_; }
 
@@ -113,7 +99,6 @@ class NodeRuntime {
   GroupId first_group_;
   KeyChain keys_;
   std::unique_ptr<net::TcpTransport> transport_;
-  std::unique_ptr<ReactorPool> pool_;  // null = inline single-thread path
   GroupMux mux_;
   std::vector<std::unique_ptr<ProtocolStack>> stacks_;  // [g - first_group]
   std::function<void(GroupId)> safe_point_;
@@ -121,7 +106,7 @@ class NodeRuntime {
   std::thread poll_thread_;
   std::mutex lane_mutex_;  // orders post() against the close in stop()
   std::atomic<bool> running_{false};
-  std::deque<std::function<void()>> tasks_;  // inline path only
+  std::deque<std::function<void()>> tasks_;  // guarded by lane_mutex_
 };
 
 }  // namespace ritas

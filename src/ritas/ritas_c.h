@@ -62,18 +62,14 @@ enum {
                                   * that). Variants use disjoint message
                                   * tags; all correct processes of a group
                                   * must pick the same one. */
-  RITAS_OPT_BC_VARIANT = 8,      /* binary-consensus algorithm: 0 = Bracha
+  RITAS_OPT_BC_VARIANT = 8       /* binary-consensus algorithm: 0 = Bracha
                                   * (default), 1 = Crain. Selecting Crain
                                   * also switches the stack to the dealt
                                   * common coin (derived from the group
                                   * key), which its agreement argument
                                   * requires. */
-  RITAS_OPT_REACTOR_THREADS = 9  /* execution-pipeline reactor threads,
-                                  * 0..64; 0 (default) = inline
-                                  * single-thread path, bit-identical on
-                                  * wire/trace/bench. Local knob: it never
-                                  * touches the wire, so processes may
-                                  * differ. */
+  /* 9 (was RITAS_OPT_REACTOR_THREADS) is reserved and never reused;
+   * ritas_set_opt rejects it with RITAS_EINVAL like any unknown option. */
   /* 10 (was RITAS_OPT_CRYPTO_THREADS) and 11 (was
    * RITAS_OPT_TRANSPORT_BATCH) are reserved and never reused;
    * ritas_set_opt rejects them with RITAS_EINVAL like any unknown
@@ -106,10 +102,10 @@ enum {
   /* 13 (was RITAS_STAT_CRYPTO_OFFLOADED) and 14 (was
    * RITAS_STAT_CRYPTO_MAC_OFFLOADED) are reserved and never reused;
    * ritas_stat rejects them with RITAS_EINVAL like any unknown stat. */
-  /* Execution-pipeline counters (all 0 with the default inline knob). */
-  RITAS_STAT_HANDOFF_ENQUEUED = 15,     /* frames handed to reactor rings */
-  RITAS_STAT_HANDOFF_DROPPED = 16,      /* frames dropped on a full ring */
-  RITAS_STAT_REACTOR_QUEUE_DEPTH = 17,  /* max current ring occupancy */
+  /* 15 (was RITAS_STAT_HANDOFF_ENQUEUED), 16 (was
+   * RITAS_STAT_HANDOFF_DROPPED) and 17 (was
+   * RITAS_STAT_REACTOR_QUEUE_DEPTH) are reserved and never reused;
+   * ritas_stat rejects them with RITAS_EINVAL like any unknown stat. */
   /* Transport fast-path counters (multi-frame sendmsg batching). */
   RITAS_STAT_SENDMSG_CALLS = 18,        /* data-frame sendmsg syscalls */
   RITAS_STAT_BYTES_TO_KERNEL = 19       /* bytes the kernel accepted */

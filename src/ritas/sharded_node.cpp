@@ -5,7 +5,7 @@
 namespace ritas {
 
 ShardedNode::ShardedNode(Options opts)
-    : runtime_(opts, 0, opts.groups, opts.pinning) {
+    : runtime_(opts, 0, opts.groups) {
   if (opts.trace) {
     for (GroupId g = 0; g < opts.groups; ++g) {
       tracers_.push_back(std::make_unique<Tracer>(opts.self));
@@ -44,8 +44,7 @@ ShardedNode::ShardedNode(Options opts)
     applied_cv_.notify_all();
   });
   service_->bind_submitter([this](smr::ShardId shard, const Bytes& command) {
-    // Any thread → the lane of the thread that owns the shard's stack
-    // (throws once the node stopped).
+    // Any thread → the poll thread's lane (throws once the node stopped).
     runtime_.post(shard, [this, shard, command] { abs_[shard]->bcast(Bytes(command)); });
   });
 }

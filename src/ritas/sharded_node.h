@@ -1,24 +1,19 @@
-// ShardedNode — one process of a real-TCP sharded SMR deployment, run
-// through the multi-core execution pipeline.
+// ShardedNode — one process of a real-TCP sharded SMR deployment.
 //
 // The TCP twin of sim::Cluster's per-host wiring with sim::ShardedCluster's
-// SMR layer on top, plus the pipeline: one TcpTransport (shared mesh), G
-// ProtocolStacks (one per group = shard) demultiplexed by a GroupMux, one
-// AtomicBroadcast root per group feeding one smr::ShardedService. With reactor_threads > 0
-// the mux hands each frame to the ReactorPool and the service's G groups
-// are pinned across the T reactors (Options::pinning, default g % T).
-// reactor_threads = 0 (default) reproduces the single-thread path: a poll
-// thread that does everything, byte-identical to the pre-pipeline wiring.
+// SMR layer on top: one TcpTransport (shared mesh), G ProtocolStacks (one
+// per group = shard) demultiplexed by a GroupMux, one AtomicBroadcast root
+// per group feeding one smr::ShardedService. One poll thread runs every
+// group inline.
 //
 // ShardedNode is the G-group front of ritas::NodeRuntime (node_runtime.h
 // has the thread ownership map shared with ritas::Context): the runtime
-// owns the mesh, the mux, the stacks, the reactors and the task lane; this
-// class adds only the AB roots and the smr::ShardedService on top.
+// owns the mesh, the mux, the stacks, the poll thread and the task lane;
+// this class adds only the AB roots and the smr::ShardedService on top.
 //
-// Per-group tracers (Options::trace) are recorded only by the owning
-// reactor, so for a fixed seed and pinning each group's trace is
-// bit-identical whatever T is — the determinism battery in
-// tests/test_pipeline.cpp holds this.
+// Per-group tracers (Options::trace) are recorded only on the poll thread,
+// and the mux never lets one group's frames reach another group's stack —
+// the GroupMux replay battery in tests/test_sharded_node.cpp holds this.
 #pragma once
 
 #include <chrono>
@@ -42,11 +37,6 @@ class ShardedNode {
   struct Options : NodeConfig {
     /// Shard count: one consensus group (and one ProtocolStack) each.
     std::uint32_t groups = 1;
-    /// Explicit group → reactor pinning (size = groups, entries <
-    /// reactor_threads). Empty = g % reactor_threads. Pinning is part of
-    /// the determinism contract: same seed + same pinning ⇒ bit-identical
-    /// per-group traces.
-    std::vector<std::uint32_t> pinning;
     /// Attach one Tracer per group (read back with group_trace_bytes).
     bool trace = false;
     smr::ShardedService::MachineFactory machine_factory;  // null => KvMachine
@@ -59,7 +49,7 @@ class ShardedNode {
   ShardedNode& operator=(const ShardedNode&) = delete;
 
   /// Establishes the mesh (blocks like TcpTransport::start) and starts
-  /// the poll thread + reactors.
+  /// the poll thread.
   void start() { runtime_.start(); }
   void stop() { runtime_.stop(); }
 
@@ -78,10 +68,8 @@ class ShardedNode {
 
   net::TcpTransport& transport() { return runtime_.transport(); }
   net::TcpTransport::Stats transport_stats() const { return runtime_.transport_stats(); }
-  ReactorPool::Stats pipeline_stats() const { return runtime_.pipeline_stats(); }
-  std::uint32_t reactor_of(GroupId g) const { return runtime_.reactor_of(g); }
   /// Deterministic binary encoding of group g's trace (Options::trace
-  /// only; call after stop() — the owning reactor must be quiesced).
+  /// only; call after stop() — the poll thread must be quiesced).
   Bytes group_trace_bytes(GroupId g) const;
 
  private:

@@ -854,10 +854,14 @@ TrialResult Explorer::run_trial(const Schedule& s) {
 
 std::optional<Finding> Explorer::explore(std::uint64_t first_seed,
                                          std::uint64_t count) {
+  sweep_fingerprint_ = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t seed = first_seed + i;
     Schedule sch = make_schedule(seed);
     const TrialResult r = run_trial(sch);
+    std::uint64_t mix = sweep_fingerprint_ ^ seed;
+    mix = splitmix64(mix) ^ r.fingerprint;  // splitmix64 only reads `mix` here
+    sweep_fingerprint_ = splitmix64(mix);
     ++metrics_.explore_trials;
     if (r.stalled) ++metrics_.explore_stalls;
     const bool safety_bug = !r.violations.empty();

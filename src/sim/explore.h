@@ -226,8 +226,15 @@ class Explorer {
 
   /// Runs `count` trials starting at `first_seed`; stops at the first
   /// failing schedule, shrinks it, and returns the finding. nullopt when
-  /// every trial passes. Updates metrics() as it goes.
+  /// every trial passes. Updates metrics() and sweep_fingerprint() as it
+  /// goes.
   std::optional<Finding> explore(std::uint64_t first_seed, std::uint64_t count);
+
+  /// SplitMix64 fold of (seed, TrialResult::fingerprint) over every sweep
+  /// trial of the last explore() call, in seed order (shrink trials are
+  /// not folded). Two builds that explore the same seed range with
+  /// bit-identical trials report the same value.
+  std::uint64_t sweep_fingerprint() const { return sweep_fingerprint_; }
 
   /// Delta-debugging minimization: greedily drops perturbations, clears
   /// hook bits, removes Byzantine processes and shrinks the workload while
@@ -243,6 +250,7 @@ class Explorer {
  private:
   Config cfg_;
   Metrics metrics_;
+  std::uint64_t sweep_fingerprint_ = 0;
 };
 
 }  // namespace ritas::sim

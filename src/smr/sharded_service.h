@@ -28,15 +28,14 @@
 // atomic broadcast and call on_delivered from the per-shard AB deliver
 // callback.
 //
-// Threading follows the stacks it serves. In the single-thread and sim
-// harnesses everything runs on one loop. Under the multi-core pipeline
-// (ReactorPool) each shard's on_delivered runs on the reactor that owns
-// that shard's group — per-shard state (machine, applier) is still
-// touched by exactly one thread, the partition doubling as the ownership
-// map. Only the service-wide tallies (forwarded, misrouted_dropped,
-// applied_total) cross shards, so they are atomics; submit/submit_via
-// are safe from any thread once bind_submitter's target is (reactors
-// post through the pool). No clocks, no unseeded randomness.
+// Threading follows the stacks it serves: every shard's on_delivered runs
+// on the one loop that drives them (the sim scheduler, or a node's poll
+// thread), so per-shard state (machine, applier) is touched by exactly
+// one thread. The service-wide tallies (forwarded, misrouted_dropped,
+// applied_total) are atomics so application threads can read them;
+// submit/submit_via are safe from any thread once bind_submitter's target
+// is (ShardedNode posts through its runtime's lane). No clocks, no
+// unseeded randomness.
 #pragma once
 
 #include <atomic>

@@ -24,8 +24,7 @@ using test::free_ports;
 using test::local_peers;
 using test::RawPeer;
 
-std::vector<std::unique_ptr<Context>> make_cluster(std::uint32_t n,
-                                                   std::uint32_t reactor_threads = 0) {
+std::vector<std::unique_ptr<Context>> make_cluster(std::uint32_t n) {
   const auto peers = local_peers(free_ports(n));
   std::vector<std::unique_ptr<Context>> ctxs;
   for (std::uint32_t p = 0; p < n; ++p) {
@@ -35,7 +34,6 @@ std::vector<std::unique_ptr<Context>> make_cluster(std::uint32_t n,
     o.peers = peers;
     o.master_secret = to_bytes("edge-master");
     o.rng_seed = 2000 + p;
-    o.reactor_threads = reactor_threads;
     ctxs.push_back(std::make_unique<Context>(o));
   }
   std::vector<std::thread> starters;
@@ -84,45 +82,42 @@ TEST(ContextLifecycle, ServiceCallRacingStopRunsOrThrows) {
   // node will not run. The callers are detached and report through a
   // shared counter, so a regression fails the deadline instead of hanging
   // the test binary (the stuck Context is then leaked, not destroyed under
-  // its callers). The race is timing-dependent, so it is run a few times
-  // per execution mode.
+  // its callers). The race is timing-dependent, so it is run ten times.
   constexpr int kCallers = 4;
   struct Returned {
     std::mutex m;
     std::condition_variable cv;
     int count = 0;
   };
-  for (int trial = 0; trial < 5 && !HasFailure(); ++trial) {
-    for (std::uint32_t threads : {0u, 1u}) {
-      auto cluster = make_cluster(4, threads);
-      auto returned = std::make_shared<Returned>();
-      for (int c = 0; c < kCallers; ++c) {
-        std::thread([ctx = cluster[0].get(), returned] {
-          try {
-            for (;;) ctx->ab_bcast(to_bytes("race"));
-          } catch (const std::logic_error&) {  // the stopped-lane signal
-          }
-          {
-            std::lock_guard<std::mutex> lock(returned->m);
-            ++returned->count;
-          }
-          returned->cv.notify_all();
-        }).detach();
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      cluster[0]->stop();
-      std::unique_lock<std::mutex> lock(returned->m);
-      const bool all = returned->cv.wait_for(lock, std::chrono::seconds(5), [&] {
-        return returned->count == kCallers;
-      });
-      const int blocked = kCallers - returned->count;
-      lock.unlock();
-      EXPECT_TRUE(all) << "trial " << trial << ", reactor_threads=" << threads << ": "
-                       << blocked << " caller(s) still blocked";
-      if (!all) (void)cluster[0].release();
-      for (auto& c : cluster) {
-        if (c) c->stop();
-      }
+  for (int trial = 0; trial < 10 && !HasFailure(); ++trial) {
+    auto cluster = make_cluster(4);
+    auto returned = std::make_shared<Returned>();
+    for (int c = 0; c < kCallers; ++c) {
+      std::thread([ctx = cluster[0].get(), returned] {
+        try {
+          for (;;) ctx->ab_bcast(to_bytes("race"));
+        } catch (const std::logic_error&) {  // the stopped-lane signal
+        }
+        {
+          std::lock_guard<std::mutex> lock(returned->m);
+          ++returned->count;
+        }
+        returned->cv.notify_all();
+      }).detach();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    cluster[0]->stop();
+    std::unique_lock<std::mutex> lock(returned->m);
+    const bool all = returned->cv.wait_for(lock, std::chrono::seconds(5), [&] {
+      return returned->count == kCallers;
+    });
+    const int blocked = kCallers - returned->count;
+    lock.unlock();
+    EXPECT_TRUE(all) << "trial " << trial << ": " << blocked
+                     << " caller(s) still blocked";
+    if (!all) (void)cluster[0].release();
+    for (auto& c : cluster) {
+      if (c) c->stop();
     }
   }
 }
@@ -292,7 +287,6 @@ TEST(NodeConfigValidation, BothFrontsRejectTheSameTable) {
       {"peers shorter than n", [](NodeConfig& c) { c.peers.resize(3); }},
       {"peers longer than n",
        [](NodeConfig& c) { c.peers.push_back(net::PeerAddr{"127.0.0.1", 2}); }},
-      {"reactor_threads = 65", [](NodeConfig& c) { c.reactor_threads = 65; }},
       {"Imbs-Raynal at n = 4",
        [](NodeConfig& c) { c.stack.variants.rb = RbVariant::kImbsRaynal; }},
       {"Crain with the local coin",

@@ -3,6 +3,7 @@
 // replay of minimized schedules, and stall (liveness-budget) detection.
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "sim/explore.h"
 
 namespace ritas::sim {
@@ -91,6 +92,32 @@ TEST(Explore, CleanSweepFindsNothing) {
   EXPECT_EQ(ex.metrics().explore_trials, 30u);
   EXPECT_EQ(ex.metrics().explore_violations, 0u);
   EXPECT_EQ(ex.metrics().explore_stalls, 0u);
+}
+
+TEST(Explore, SweepFingerprintIsStableAndTracksTheSeedRange) {
+  Explorer::Config cfg;
+  cfg.messages = 1;
+  Explorer a(cfg);
+  Explorer b(cfg);
+  ASSERT_FALSE(a.explore(1, 8).has_value());
+  ASSERT_FALSE(b.explore(1, 8).has_value());
+  EXPECT_NE(a.sweep_fingerprint(), 0u);
+  EXPECT_EQ(a.sweep_fingerprint(), b.sweep_fingerprint());
+  // It folds every sweep trial in seed order, nothing else.
+  std::uint64_t fold = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    std::uint64_t mix = fold ^ seed;
+    mix = splitmix64(mix) ^ Explorer::run_trial(a.make_schedule(seed)).fingerprint;
+    fold = splitmix64(mix);
+  }
+  EXPECT_EQ(a.sweep_fingerprint(), fold);
+  const std::uint64_t base = a.sweep_fingerprint();
+  ASSERT_FALSE(b.explore(2, 8).has_value());
+  EXPECT_NE(b.sweep_fingerprint(), base) << "shifted range";
+  ASSERT_FALSE(b.explore(1, 9).has_value());
+  EXPECT_NE(b.sweep_fingerprint(), base) << "longer range";
+  ASSERT_FALSE(b.explore(1, 8).has_value());
+  EXPECT_EQ(b.sweep_fingerprint(), base) << "each explore() starts a fresh fold";
 }
 
 TEST(Explore, VariantSweepsFindNothing) {

@@ -276,8 +276,8 @@ TEST(NetChurn, LateJoinerCatchesUp) {
 /// Transport-level: a dead link queues frames (bounded, drop-oldest) and
 /// the overflow is visible as queue_drops on the sender and counter_gaps
 /// on the receiver after the link heals. Link lifecycle events land in
-/// the tracer.
-TEST(NetChurn, QueueOverflowIsAccountedAcrossReconnect) {
+/// the tracer. Run over epoll and over the ::poll fallback.
+void queue_overflow_across_reconnect(bool use_epoll) {
   const auto ports = free_ports(2);
   const auto peers = local_peers(ports);
   std::vector<std::unique_ptr<KeyChain>> keys;
@@ -291,6 +291,7 @@ TEST(NetChurn, QueueOverflowIsAccountedAcrossReconnect) {
     o.n = 2;
     o.self = p;
     o.peers = peers;
+    o.use_epoll = use_epoll;
     if (p == 1) {
       o.send_queue_max_bytes = 4 * 1024;  // tiny: force drop-oldest
       o.backoff.base_ms = 200;            // keep the link down long enough
@@ -356,6 +357,13 @@ TEST(NetChurn, QueueOverflowIsAccountedAcrossReconnect) {
   EXPECT_GE(ups, 2);
   EXPECT_GE(downs, 1);
   EXPECT_GE(handshakes, 2);
+}
+
+TEST(NetChurn, QueueOverflowIsAccountedAcrossReconnect) {
+  queue_overflow_across_reconnect(/*use_epoll=*/true);
+}
+TEST(NetChurn, QueueOverflowIsAccountedAcrossReconnectOverPoll) {
+  queue_overflow_across_reconnect(/*use_epoll=*/false);
 }
 
 }  // namespace

@@ -54,7 +54,8 @@ struct Node {
 std::unique_ptr<Node> make_node(std::uint32_t n, ProcessId p,
                                 const std::vector<PeerAddr>& peers,
                                 const Bytes& master, bool authenticate = true,
-                                int connect_timeout_ms = 15'000) {
+                                int connect_timeout_ms = 15'000,
+                                bool use_epoll = true) {
   auto node = std::make_unique<Node>();
   node->keys = std::make_unique<KeyChain>(KeyChain::deal(master, n, p));
   TcpTransport::Options o;
@@ -63,6 +64,7 @@ std::unique_ptr<Node> make_node(std::uint32_t n, ProcessId p,
   o.peers = peers;
   o.authenticate = authenticate;
   o.connect_timeout_ms = connect_timeout_ms;
+  o.use_epoll = use_epoll;
   node->transport = std::make_unique<TcpTransport>(o, *node->keys);
   Node* raw = node.get();
   raw->transport->set_sink([raw](ProcessId from, Slice frame) {
@@ -85,12 +87,12 @@ bool wait_until(const std::function<bool()>& cond, int timeout_ms = 5000) {
 class Mesh {
  public:
   explicit Mesh(std::uint32_t n, bool authenticate = true,
-                const Bytes& master = to_bytes("mesh-master")) {
+                const Bytes& master = to_bytes("mesh-master"), bool use_epoll = true) {
     const auto ports = free_ports(n);
     const auto peers = local_peers(ports);
     nodes_.resize(n);
     for (std::uint32_t p = 0; p < n; ++p) {
-      nodes_[p] = make_node(n, p, peers, master, authenticate);
+      nodes_[p] = make_node(n, p, peers, master, authenticate, 15'000, use_epoll);
       nodes_[p]->thread =
           std::thread([raw = nodes_[p].get()] { raw->start_and_run(); });
     }
@@ -220,8 +222,9 @@ TEST(TcpTransport, MismatchedKeysCannotJoinTheMesh) {
   }
 }
 
-TEST(TcpTransport, StatsCountTraffic) {
-  Mesh mesh(4);
+/// Round trip with exact counters, over epoll or the ::poll fallback.
+void stats_count_traffic(bool use_epoll) {
+  Mesh mesh(4, true, to_bytes("mesh-master"), use_epoll);
   mesh.node(0).transport->send(1, to_bytes("counted"));
   ASSERT_TRUE(mesh.wait_for(1, 1));
   // The sender bumps its counters once sendmsg() returns, which can be
@@ -233,6 +236,11 @@ TEST(TcpTransport, StatsCountTraffic) {
   EXPECT_EQ(mesh.node(0).transport->stats().frames_sent, 1u);
   EXPECT_GT(mesh.node(0).transport->stats().bytes_sent, 7u);
   EXPECT_EQ(mesh.node(1).transport->stats().frames_received, 1u);
+}
+
+TEST(TcpTransport, StatsCountTraffic) { stats_count_traffic(/*use_epoll=*/true); }
+TEST(TcpTransport, StatsCountTrafficOverPoll) {
+  stats_count_traffic(/*use_epoll=*/false);
 }
 
 TEST(TcpTransport, SendToSelfOrOutOfRangeIgnored) {

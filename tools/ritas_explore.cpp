@@ -276,6 +276,7 @@ int main(int argc, char** argv) {
     w.field("explore_trials", m.explore_trials);
     w.field("explore_violations", m.explore_violations);
     w.field("explore_stalls", m.explore_stalls);
+    w.field("sweep_fingerprint", explorer.sweep_fingerprint());
     w.field("found", finding.has_value());
     if (finding) w.field("trial_seed", finding->trial_seed);
     w.end_object();
